@@ -97,6 +97,7 @@ class Tape:
     def __init__(self):
         self._nodes = []
         self._consumed = False
+        self._freed = 0  # nodes recorded before backward released them
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -108,7 +109,8 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._nodes)
+        """Number of ops recorded, including those a backward pass released."""
+        return self._freed + len(self._nodes)
 
 
 _THREAD_STATE = threading.local()
@@ -161,8 +163,14 @@ def backward(loss: Tensor) -> None:
     if tape._consumed:
         raise TapeReuseError("tape already consumed by a previous backward pass")
     tape._consumed = True
+    # output tensors point back at the tape, so the tape lets go of its nodes
+    # (each one as soon as it is replayed) for the step's intermediates to be
+    # freed without waiting for the cyclic garbage collector
+    nodes, tape._nodes = tape._nodes, []
+    tape._freed += len(nodes)
     loss.grad = np.ones((), dtype=np.float64)
-    for out, inputs, fn in reversed(tape._nodes):
+    while nodes:
+        out, inputs, fn = nodes.pop()
         g = out.grad
         if g is None:
             continue
@@ -247,6 +255,56 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.values @ b.values, (a, b), bwd)
 
 
+def _affine_param_grads(x: np.ndarray, g: np.ndarray):
+    """Weight and bias gradients of `x @ w + b` for output gradient `g`.
+
+    One GEMM per leading index, then a sum over the leading axes: the order
+    in which the matmul-then-add composition sums.
+    """
+    if x.ndim == 1:
+        x, g = x[None, :], g[None, :]
+    gw = x.swapaxes(-1, -2) @ g
+    if gw.ndim > 2:
+        gw = gw.sum(axis=tuple(range(gw.ndim - 2)))
+    return gw, g.sum(axis=tuple(range(g.ndim - 1)))
+
+
+def _matmul(a: np.ndarray, m: np.ndarray, few_rows: bool = False) -> np.ndarray:
+    """`a @ m` for a stack of rows `a` and a 2-d `m`.
+
+    `few_rows` marks a product over a few of the rows that the unfused
+    composition multiplies. It is computed as one 2-d GEMM with a C-ordered
+    `m`, which gives each row the bits a taller product gives it; as given,
+    BLAS would send one-row products to gemv and small products with a
+    transposed operand to other kernels, which sum in other orders.
+    """
+    if not few_rows:
+        return a @ m
+    m = np.ascontiguousarray(m)
+    return (a.reshape(-1, a.shape[-1]) @ m).reshape(a.shape[:-1] + m.shape[1:])
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map `x @ w + b` over the trailing axis, recorded as one node.
+
+    `x` is (..., d_in), `w` (d_in, d_out) and `b` (d_out,). A stack of
+    one-row matrices, such as the encoder's [CLS]-only last layer, is
+    multiplied as the `few_rows` case of `_matmul`.
+    """
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ShapeError(
+            "linear needs x (..., d_in), w (d_in, d_out) and b (d_out,); "
+            f"got {x.shape}, {w.shape} and {b.shape}"
+        )
+
+    one_row = x.ndim > 2 and x.shape[-2] == 1
+
+    def bwd(g):
+        return (_matmul(g, w.values.T, one_row), *_affine_param_grads(x.values, g))
+
+    return _make(_matmul(x.values, w.values, one_row) + b.values, (x, w, b), bwd)
+
+
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bwd(g):
         if axis is None:
@@ -308,17 +366,21 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _make(a.values.transpose(axes), (a,), bwd)
 
 
-def select(a: Tensor, index: int, axis: int = 0) -> Tensor:
-    """Pick one subtensor along an axis (the axis is dropped)."""
+def select(a: Tensor, index, axis: int = 0) -> Tensor:
+    """Pick a subtensor along an axis.
+
+    An integer index drops the axis; a slice keeps it.
+    """
+    key = [slice(None)] * a.ndim
+    key[axis] = index
+    key = tuple(key)
 
     def bwd(g):
         ga = np.zeros(a.shape, dtype=np.float64)
-        key = [slice(None)] * a.ndim
-        key[axis] = index
-        ga[tuple(key)] = g
+        ga[key] = g
         return (ga,)
 
-    return _make(np.take(a.values, index, axis=axis), (a,), bwd)
+    return _make(a.values[key], (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +483,135 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
     return _make(table.values[idx], (table,), bwd)
 
 
-def dropout(x: Tensor, rate: float, train: bool, rng=None) -> Tensor:
-    """Inverted dropout: scales survivors by 1/(1-rate); identity in eval mode."""
+def _dropout_mask(shape, rate: float, train: bool, rng, draw_shape=None):
+    """Inverted-dropout mask for `shape`, or None when dropout is off.
+
+    The mask is drawn at `draw_shape` (default `shape`) and cut to its
+    leading `shape` corner, so computing fewer rows leaves the random stream
+    exactly where the full computation would.
+    """
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
-        return x
+        return None
     if rng is None:
         raise ContractError("training-mode dropout needs an rng")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    drawn = tuple(shape) if draw_shape is None else tuple(draw_shape)
+    mask = (rng.random(drawn) >= rate) / (1.0 - rate)
+    if drawn != tuple(shape):
+        mask = mask[tuple(slice(0, n) for n in shape)]
+    return mask
+
+
+def dropout(x: Tensor, rate: float, train: bool, rng=None, draw_shape=None) -> Tensor:
+    """Inverted dropout: scales survivors by 1/(1-rate); identity in eval mode.
+
+    `draw_shape` draws the mask at a larger shape and keeps its leading
+    corner (see `_dropout_mask`).
+    """
+    mask = _dropout_mask(x.shape, rate, train, rng, draw_shape)
+    if mask is None:
+        return x
 
     def bwd(g):
         return (g * mask,)
 
     return _make(x.values * mask, (x,), bwd)
+
+
+def _merge_heads(t: np.ndarray) -> np.ndarray:
+    """(batch, heads, rows, d_head) -> (batch, rows, heads * d_head)."""
+    b, h, r, dh = t.shape
+    # always a C-ordered copy: reductions over a strided view sum in
+    # another order
+    return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(b, r, h * dh)
+
+
+def self_attention(
+    x: Tensor,
+    weights,
+    key_bias: np.ndarray,
+    n_heads: int,
+    rate: float = 0.0,
+    train: bool = False,
+    rng=None,
+    n_queries: int | None = None,
+    sink: list | None = None,
+) -> Tensor:
+    """Multi-head scaled dot-product self-attention as one node.
+
+    `x` is (batch, seq, d). `weights` holds the q, k, v and output
+    projections as (weight, bias) tensor pairs in that order, weights
+    (d, d) and biases (d,). `key_bias` is a (batch, seq) additive score
+    bias per key position (0 to attend, a large negative value to mask).
+    Only the first `n_queries` positions (default: all) are queries; keys
+    and values always use every position. Scores must be finite. In train
+    mode the probabilities get inverted dropout, with the mask drawn at the
+    full (batch, heads, seq, seq) shape. When `sink` is a list, the
+    (batch, heads, n_queries, seq) probabilities before dropout are appended.
+    Returns (batch, n_queries, d).
+
+    The arithmetic is that of the composition of matmul, add, reshape,
+    transpose, scale, softmax and dropout, in the same order. With every
+    position a query the results are bit-identical to it; with fewer
+    queries BLAS may still pick other kernels for some shapes, which
+    changes the last bits.
+    """
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = weights
+    bsz, s, d = x.shape
+    if d % n_heads:
+        raise ShapeError(f"width {d} does not split into {n_heads} heads")
+    if key_bias.shape != (bsz, s):
+        raise ShapeError(f"key_bias must be {(bsz, s)}, got {key_bias.shape}")
+    nq = s if n_queries is None else n_queries
+    # at least two query rows: BLAS computes one-row products with gemv,
+    # which sums in another order than the full product's gemm
+    rows = min(max(nq, 2), s)
+    h, dh = n_heads, d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    xv = x.values
+    xq = xv[:, :rows]
+
+    def split(t):
+        return t.reshape(bsz, -1, h, dh).transpose(0, 2, 1, 3)
+
+    q = split(xq @ wq.values + bq.values)
+    k = split(xv @ wk.values + bk.values)
+    v = split(xv @ wv.values + bv.values)
+    z = (q @ k.transpose(0, 1, 3, 2)) * scale + key_bias[:, None, None, :]
+    if not np.all(np.isfinite(z)):
+        raise NumericsError("attention scores are non-finite")
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)  # (b, h, rows, s)
+    if sink is not None:
+        sink.append(p[:, :, :nq].copy())
+    mask = _dropout_mask(p.shape, rate, train, rng, draw_shape=(bsz, h, s, s))
+    pd = p if mask is None else p * mask
+    ctx = _merge_heads(pd @ v)  # (b, rows, d)
+
+    def bwd(g):
+        if rows > nq:
+            g = np.concatenate([g, np.zeros((bsz, rows - nq, d))], axis=1)
+        dctx = split(_matmul(g, wo.values.T, rows < s))
+        dp = dctx @ v.transpose(0, 1, 3, 2)
+        dv = _merge_heads(pd.transpose(0, 1, 3, 2) @ dctx)
+        if mask is not None:
+            dp = dp * mask
+        dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        dq = _merge_heads(dz @ k)
+        dk = _merge_heads((q.transpose(0, 1, 3, 2) @ dz).transpose(0, 1, 3, 2))
+        dxq = _matmul(dq, wq.values.T, rows < s)
+        if rows < s:
+            dxq = np.concatenate([dxq, np.zeros((bsz, s - rows, d))], axis=1)
+        # x feeds three projections: one gradient each, accumulated v, k, q
+        # like the unfused composition's reverse replay
+        return (
+            dv @ wv.values.T, dk @ wk.values.T, dxq,
+            *_affine_param_grads(xq, dq),
+            *_affine_param_grads(xv, dk),
+            *_affine_param_grads(xv, dv),
+            *_affine_param_grads(ctx, g),
+        )
+
+    out = (ctx @ wo.values + bo.values)[:, :nq]
+    return _make(out, (x, x, x, wq, bq, wk, bk, wv, bv, wo, bo), bwd)

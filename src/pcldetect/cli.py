@@ -15,7 +15,7 @@ from .ensemble import (
     vote_multilabel,
     write_predictions,
 )
-from .errors import ConfigError, ContractError, ParseError, TrainingDivergedError
+from .errors import ConfigError, ContractError, PcldetectError
 from .metrics import format_report, macro_f1, prf1_positive
 from .trainer import RunConfig, lambda_sweep, predict_records, run_kfold, run_single_fold
 
@@ -138,6 +138,8 @@ def _load_records(path: str, input_format: str):
 
 def _cmd_predict(args) -> int:
     records = _load_records(args.data, args.input_format)
+    if not records:
+        raise ContractError(f"{args.data}: no paragraphs to predict")
     par_ids, labels = predict_records(_resolve(args.checkpoint), records)
     write_predictions(args.out, par_ids, labels)
     print(f"wrote {len(par_ids)} predictions to {args.out}")
@@ -257,10 +259,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, ContractError, ParseError, TrainingDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (PcldetectError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

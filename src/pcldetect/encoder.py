@@ -112,26 +112,14 @@ class EncoderParams:
 
 
 def _linear(x: Tensor, params: EncoderParams, name: str) -> Tensor:
-    return ag.add(ag.matmul(x, params[f"{name}.weight"]), params[f"{name}.bias"])
+    return ag.linear(x, params[f"{name}.weight"], params[f"{name}.bias"])
 
 
-def _attention(x, params, layer, mask_bias, cfg, train, rng, attn_sink):
-    b, s, d = x.shape
-    h, dh = cfg.n_heads, d // cfg.n_heads
-
-    def split_heads(t):
-        return ag.transpose(ag.reshape(t, (b, s, h, dh)), (0, 2, 1, 3))
-
-    q = split_heads(_linear(x, params, f"layer.{layer}.attn.q"))
-    k = split_heads(_linear(x, params, f"layer.{layer}.attn.k"))
-    v = split_heads(_linear(x, params, f"layer.{layer}.attn.v"))
-    scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    probs = ag.softmax(ag.add(scores, mask_bias))
-    if attn_sink is not None:
-        attn_sink.append(probs.values.copy())
-    probs = ag.dropout(probs, cfg.dropout_rate, train, rng)
-    ctx = ag.reshape(ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3)), (b, s, d))
-    return _linear(ctx, params, f"layer.{layer}.attn.out")
+def _attention_weights(params: EncoderParams, layer: int) -> tuple:
+    return tuple(
+        (params[f"layer.{layer}.attn.{proj}.weight"], params[f"layer.{layer}.attn.{proj}.bias"])
+        for proj in ("q", "k", "v", "out")
+    )
 
 
 def encode_batch(
@@ -145,8 +133,13 @@ def encode_batch(
 
     Returns the last layer's representation at position 0 for each row.
     Padding positions are masked out of every attention step, so appended
-    [PAD] ids cannot influence the result. When `attn_sink` is a list, the
-    per-layer attention probability arrays are appended to it.
+    [PAD] ids cannot influence the result. Since only position 0 is
+    returned, the last layer computes its attention query, residuals, layer
+    norms and feed-forward for that row alone; its keys and values still
+    cover every position, and its dropout masks are drawn at full size so
+    the rng stream matches a full computation. When `attn_sink` is a list,
+    each layer's attention probabilities are appended to it: (batch, heads,
+    seq, seq) per layer, except (batch, heads, 1, seq) for the last one.
     """
     cfg = params.config
     ids = np.asarray(token_ids)
@@ -160,29 +153,34 @@ def encode_batch(
     if s < 1:
         raise ContractError("empty sequence")
 
-    key_pad = ids == cfg.pad_id  # (b, s)
-    mask_bias = ag.constant(
-        np.where(key_pad, MASK_BIAS, 0.0)[:, None, None, :]
-    )  # broadcast over heads and query positions
+    key_bias = np.where(ids == cfg.pad_id, MASK_BIAS, 0.0)  # (b, s)
+    rate = cfg.dropout_rate
+    full = (b, s, cfg.d_model)
 
     emb = ag.add(
         ag.embedding_gather(params["embeddings.token"], ids),
         ag.embedding_gather(params["embeddings.position"], np.arange(s)),
     )
     x = ag.layer_norm(emb, params["embeddings.ln.gain"], params["embeddings.ln.bias"])
-    x = ag.dropout(x, cfg.dropout_rate, train, rng)
+    x = ag.dropout(x, rate, train, rng)
 
     for layer in range(cfg.n_layers):
-        attn = _attention(x, params, layer, mask_bias, cfg, train, rng, attn_sink)
+        rows = 1 if layer == cfg.n_layers - 1 else s  # only [CLS] leaves the last layer
+        attn = ag.self_attention(
+            x, _attention_weights(params, layer), key_bias, cfg.n_heads,
+            rate, train, rng, n_queries=rows, sink=attn_sink,
+        )
+        if rows < s:
+            x = ag.select(x, slice(0, rows), axis=1)
         x = ag.layer_norm(
-            ag.add(x, ag.dropout(attn, cfg.dropout_rate, train, rng)),
+            ag.add(x, ag.dropout(attn, rate, train, rng, draw_shape=full)),
             params[f"layer.{layer}.attn.ln.gain"],
             params[f"layer.{layer}.attn.ln.bias"],
         )
         ff = ag.gelu(_linear(x, params, f"layer.{layer}.ff.in"))
         ff = _linear(ff, params, f"layer.{layer}.ff.out")
         x = ag.layer_norm(
-            ag.add(x, ag.dropout(ff, cfg.dropout_rate, train, rng)),
+            ag.add(x, ag.dropout(ff, rate, train, rng, draw_shape=full)),
             params[f"layer.{layer}.ff.ln.gain"],
             params[f"layer.{layer}.ff.ln.bias"],
         )

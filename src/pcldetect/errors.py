@@ -1,41 +1,49 @@
-"""Shared exception types so callers can tell failure modes apart."""
+"""Shared exception types so callers can tell failure modes apart.
+
+Every type derives from `PcldetectError`, so a caller can catch all library
+failures at once, and also from the builtin exception it has always been.
+"""
 
 
-class ShapeError(ValueError):
+class PcldetectError(Exception):
+    """Base class of every error the library raises on purpose."""
+
+
+class ShapeError(PcldetectError, ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class NumericsError(ValueError):
+class NumericsError(PcldetectError, ValueError):
     """Input values are outside the numeric domain (non-finite, log of <= 0)."""
 
 
-class GatherError(IndexError):
+class GatherError(PcldetectError, IndexError):
     """Embedding lookup index is outside the table."""
 
 
-class ContractError(ValueError):
+class ContractError(PcldetectError, ValueError):
     """A documented precondition was violated by the caller."""
 
 
-class TapeReuseError(RuntimeError):
+class TapeReuseError(PcldetectError, RuntimeError):
     """A gradient tape was asked to run backward a second time."""
 
 
-class ConfigError(ValueError):
+class ConfigError(PcldetectError, ValueError):
     """Invalid configuration value or combination."""
 
 
-class ParseError(ValueError):
+class ParseError(PcldetectError, ValueError):
     """Malformed input file content."""
 
 
-class StratificationError(ValueError):
+class StratificationError(PcldetectError, ValueError):
     """Stratified splitting is impossible for the given label counts."""
 
 
-class DegenerateDistributionError(ValueError):
+class DegenerateDistributionError(PcldetectError, ValueError):
     """A class-ratio computation received a single-class label set."""
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(PcldetectError, RuntimeError):
     """Training produced a non-finite loss; carries diagnostics in the message."""

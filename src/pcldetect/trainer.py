@@ -35,7 +35,7 @@ from .encoder import (
     pooler,
     save_checkpoint,
 )
-from .errors import ConfigError, NumericsError, TrainingDivergedError
+from .errors import ConfigError, ContractError, NumericsError, TrainingDivergedError
 from .heads import (
     BinaryHeadParams,
     MultiLabelHeadParams,
@@ -119,6 +119,10 @@ class RunConfig:
             raise ConfigError("warmup_frac must be in [0, 1)")
         if self.grouping not in ("llrd", "single"):
             raise ConfigError(f"grouping must be 'llrd' or 'single', got {self.grouping!r}")
+        if self.grouping == "llrd" and self.groups > self.n_layers:
+            raise ConfigError(
+                f"cannot split {self.n_layers} layers into {self.groups} groups"
+            )
 
     @property
     def resolved_lambda(self) -> float:
@@ -324,15 +328,28 @@ def build_optimizer(config: RunConfig, named: dict) -> AdamW:
 # ---------------------------------------------------------------------------
 
 
+def _predict_token_ids(model: Model, token_ids, pad_id: int) -> np.ndarray:
+    """Hard predictions (eval mode) for id sequences, in input order.
+
+    Rows are batched in order of token length (stable), so each batch pads
+    little, and the predictions are scattered back to input order.
+    """
+    if not token_ids:
+        raise ContractError("no examples to predict")
+    order = np.argsort([len(t) for t in token_ids], kind="stable")
+    batches = []
+    for start in range(0, order.size, EVAL_BATCH):
+        ids = pad_batch([token_ids[i] for i in order[start : start + EVAL_BATCH]], pad_id=pad_id)
+        batches.append(model.predict(model.forward(ids)))
+    in_length_order = np.concatenate(batches)
+    preds = np.empty_like(in_length_order)
+    preds[order] = in_length_order
+    return preds
+
+
 def predict_indices(model: Model, data: TrainingData, indices) -> np.ndarray:
     """Hard predictions for a set of example indices (eval mode)."""
-    preds = []
-    pad = data.vocab.pad_id
-    for start in range(0, len(indices), EVAL_BATCH):
-        chunk = indices[start : start + EVAL_BATCH]
-        ids = pad_batch([data.token_ids[i] for i in chunk], pad_id=pad)
-        preds.append(model.predict(model.forward(ids)))
-    return np.concatenate(preds)
+    return _predict_token_ids(model, [data.token_ids[i] for i in indices], data.vocab.pad_id)
 
 
 def eval_metric(model: Model, data: TrainingData, indices) -> float:
@@ -660,11 +677,7 @@ def predict_records(ckpt_path, records):
     model, vocab, meta = load_model(ckpt_path)
     max_len = model.encoder.config.max_len
     token_ids = [tokenize(compose_input(r), vocab, max_len) for r in records]
-    preds = []
-    for start in range(0, len(token_ids), EVAL_BATCH):
-        ids = pad_batch(token_ids[start : start + EVAL_BATCH], pad_id=vocab.pad_id)
-        preds.append(model.predict(model.forward(ids)))
-    flat = np.concatenate(preds)
+    flat = _predict_token_ids(model, token_ids, vocab.pad_id)
     if model.subtask == 1:
         labels = [int(p) for p in flat]
     else:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import mpmath
 import numpy as np
 import pytest
@@ -202,6 +205,102 @@ def test_tape_consumed_once():
         backward(loss)
         with pytest.raises(TapeReuseError):
             backward(loss)
+
+
+def test_backward_frees_the_tape():
+    # outputs point back at their tape; backward must break that cycle so
+    # the step's intermediates die without the cyclic collector
+    w = Tensor(np.random.default_rng(3).normal(size=(3, 4)), requires_grad=True)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            hidden = ag.tanh(w)
+            probe = weakref.ref(hidden.values)
+            loss = ag.mul(hidden, hidden).sum()
+            del hidden
+            backward(loss)
+        assert probe() is None
+        assert len(tape) == 3  # still counts what was recorded
+        with pytest.raises(TapeReuseError):
+            backward(loss)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert np.allclose(w.grad, 2.0 * np.tanh(w.values) * (1.0 - np.tanh(w.values) ** 2))
+
+
+def test_select_slice_keeps_axis_and_gradient():
+    x = Tensor(np.random.default_rng(4).normal(size=(2, 5, 3)), requires_grad=True)
+    kept = ag.select(x, slice(0, 2), axis=1)
+    assert kept.shape == (2, 2, 3)
+    assert np.array_equal(kept.values, x.values[:, :2])
+    mix = constant(np.random.default_rng(5).normal(size=(2, 2, 3)))
+    assert check_gradients(lambda: ag.mul(mix, ag.select(x, slice(0, 2), axis=1)).sum(), [x]) < 1e-6
+
+
+def test_linear_matches_matmul_plus_bias_and_gradients():
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+    w = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+    b = Tensor(rng.normal(size=6), requires_grad=True)
+    assert np.array_equal(ag.linear(x, w, b).values, x.values @ w.values + b.values)
+    mix = constant(rng.normal(size=(3, 4, 6)))
+    assert check_gradients(lambda: ag.mul(mix, ag.linear(x, w, b)).sum(), [x, w, b]) < 1e-6
+    with pytest.raises(ShapeError):
+        ag.linear(x, Tensor(np.zeros((4, 6))), b)
+    with pytest.raises(ShapeError):
+        ag.linear(x, w, Tensor(np.zeros(5)))
+
+
+def _attention_case(n_queries):
+    rng = np.random.default_rng(7)
+    b, s, d = 2, 5, 6
+    x = Tensor(rng.normal(size=(b, s, d)), requires_grad=True)
+    weights = tuple(
+        (Tensor(rng.normal(size=(d, d)) * 0.5, requires_grad=True),
+         Tensor(rng.normal(size=d), requires_grad=True))
+        for _ in range(4)
+    )
+    key_bias = np.zeros((b, s))
+    key_bias[1, 3:] = -1e9  # second row has two padded keys
+    mix = constant(rng.normal(size=(b, n_queries, d)))
+
+    def loss():
+        out = ag.self_attention(
+            x, weights, key_bias, n_heads=2, rate=0.3, train=True,
+            rng=np.random.default_rng(11), n_queries=n_queries,
+        )
+        return ag.mul(mix, out).sum()
+
+    return loss, [x] + [t for pair in weights for t in pair]
+
+
+@pytest.mark.parametrize("n_queries", [5, 1])
+def test_self_attention_gradcheck_in_train_mode(n_queries):
+    loss, tensors = _attention_case(n_queries)
+    # the key bias cancels in the softmax, so its true gradient is 0 and the
+    # floor holds it to absolute agreement (~1e-10 differencing noise here)
+    assert check_gradients(loss, tensors, floor=1e-4) < 1e-5
+
+
+def test_self_attention_refuses_non_finite_scores():
+    x = Tensor(np.full((1, 3, 4), np.nan))
+    weights = tuple((Tensor(np.eye(4)), Tensor(np.zeros(4))) for _ in range(4))
+    with pytest.raises(NumericsError):
+        ag.self_attention(x, weights, np.zeros((1, 3)), n_heads=2)
+
+
+def test_dropout_draw_shape_keeps_the_leading_corner():
+    x = Tensor(np.ones((2, 1, 3)))
+    full = ag.dropout(Tensor(np.ones((2, 4, 3))), 0.5, True, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    part = ag.dropout(x, 0.5, True, rng, draw_shape=(2, 4, 3))
+    assert np.array_equal(part.values, full.values[:, :1])
+    # the stream advanced exactly as the full-size draw did
+    reference = np.random.default_rng(8)
+    reference.random((2, 4, 3))
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_gradients_accumulate_across_shared_use():

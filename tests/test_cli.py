@@ -175,3 +175,40 @@ def test_data_dir_env_var(corpus, tmp_path, monkeypatch, capsys):
     code = main(["evaluate", "--gold", corpus.name, "--pred", corpus.name])
     assert code == 0
     assert "f1\t1.000000" in capsys.readouterr().out
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_predict_refuses_an_empty_data_file(corpus, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
+    out = tmp_path / "preds.tsv"
+    code = main(["predict", "--checkpoint", str(tmp_path / "never-read.npz"),
+                 "--data", str(empty), "--out", str(out)])
+    assert code == 1
+    assert "no paragraphs" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_kfold_with_a_class_smaller_than_k_fails_cleanly(tmp_path, capsys):
+    data = tmp_path / "few.tsv"
+    write_binary_tsv(data, synthetic_binary_records(n=30, positive_frac=0.1, seed=3))
+    out_dir = tmp_path / "run"
+    code = main(["kfold", "--data", str(data), "--out-dir", str(out_dir), "--k-folds", "5",
+                 *TINY_FLAGS])
+    assert code == 1
+    _one_line_error(capsys)
+    assert not (out_dir / "vocab.txt").exists()
+
+
+def test_more_groups_than_layers_is_refused_before_writing(corpus, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code = main(["train", "--data", str(corpus), "--out-dir", str(out_dir),
+                 "--n-layers", "1", "--groups", "3"])
+    assert code == 1
+    assert "groups" in _one_line_error(capsys)
+    assert not (out_dir / "vocab.txt").exists()

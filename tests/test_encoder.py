@@ -14,6 +14,7 @@ from pcldetect.encoder import (
 )
 from pcldetect.errors import ConfigError, ContractError
 
+import unfused
 from gradcheck import check_gradients
 
 
@@ -70,6 +71,57 @@ def test_attention_rows_sum_to_one_over_unmasked(params):
         assert np.max(np.abs(sums - 1.0)) < 1e-10
         masked_mass = probs[:, :, :, :][~np.broadcast_to(real[:, None, None, :], probs.shape)]
         assert np.all(masked_mass == 0.0)
+
+
+def test_last_layer_attention_is_cls_row_only(params):
+    ids = np.array([[1, 5, 7, 9, 2, 0, 0], [1, 6, 2, 0, 0, 0, 0]])
+    sink = []
+    encode_batch(params, ids, attn_sink=sink)
+    assert [p.shape for p in sink] == [(2, 2, 7, 7), (2, 2, 1, 7)]
+
+
+def _padded_batch():
+    ids = np.random.default_rng(6).integers(3, 16, size=(3, 9))
+    ids[:, 0] = 1
+    ids[1, 5:] = 0
+    ids[2, 3:] = 0
+    return ids
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_fused_encoder_matches_unfused_reference_in_eval(n_layers):
+    params = EncoderParams.init(small_config(n_layers=n_layers), np.random.default_rng(1))
+    ids = _padded_batch()
+    fused_sink, ref_sink = [], []
+    fused = encode_batch(params, ids, attn_sink=fused_sink).values
+    ref = unfused.encode_batch(params, ids, attn_sink=ref_sink).values
+    assert np.max(np.abs(fused - ref)) < 1e-12
+    for f, r in zip(fused_sink, ref_sink):
+        assert np.max(np.abs(f - r[:, :, : f.shape[2]])) < 1e-12
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_fused_encoder_matches_unfused_reference_in_train(n_layers):
+    params = EncoderParams.init(small_config(n_layers=n_layers), np.random.default_rng(2))
+    ids = _padded_batch()
+    mix = ag.constant(np.random.default_rng(3).normal(size=(3, 8)))
+    tensors = [t for n, t in params.tensors.items() if not n.startswith("pooler.")]
+
+    def run(encoder):
+        rng = np.random.default_rng(4)
+        ag.zero_grads(tensors)
+        with ag.Tape():
+            out = encoder(params, ids, train=True, rng=rng)
+            ag.backward(ag.mul(mix, out).sum())
+        return out.values, [t.grad.copy() for t in tensors], rng.bit_generator.state
+
+    fused, fused_grads, fused_rng = run(encode_batch)
+    ref, ref_grads, ref_rng = run(unfused.encode_batch)
+    ag.zero_grads(tensors)
+    assert np.max(np.abs(fused - ref)) < 1e-12
+    assert fused_rng == ref_rng  # same dropout draws, in the same order
+    for f, r in zip(fused_grads, ref_grads):
+        assert np.max(np.abs(f - r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
 
 
 def test_padding_invariance(params):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -5,13 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from pcldetect.errors import ConfigError, TrainingDivergedError
+from pcldetect.autograd import Tape, backward
+from pcldetect.data import pad_batch
+from pcldetect.encoder import encode_batch, pooler, save_checkpoint
+from pcldetect.errors import ConfigError, ContractError, TrainingDivergedError
 from pcldetect.trainer import (
     RunConfig,
+    build_model,
     file_sha256,
     lambda_sweep,
     load_training_data,
     make_folds,
+    predict_indices,
     predict_records,
     run_kfold,
     run_single_fold,
@@ -65,6 +71,9 @@ def test_config_validation():
         RunConfig(lam=-1.0)
     with pytest.raises(ConfigError):
         RunConfig(grouping="fancy")
+    with pytest.raises(ConfigError):
+        RunConfig(n_layers=1, groups=3)
+    RunConfig(n_layers=1, groups=3, grouping="single")  # groups unused there
 
 
 def test_lambda_defaults_per_subtask():
@@ -250,3 +259,57 @@ def test_fold_seed_controls_assignment(small_corpus):
     fa = make_folds(config_a, data)
     fb = make_folds(config_b, data)
     assert np.array_equal(fa.fold_of, fb.fold_of)
+
+
+def test_training_step_tape_budget():
+    # the s1 recipe's shape: one step records at most 100 tape nodes
+    config = RunConfig(d_model=64, n_heads=4, n_layers=6, d_ff=256, max_len=64, dropout=0.4)
+    model = build_model(config, 53, np.random.default_rng(0))
+    rows = np.random.default_rng(1).integers(6, 53, size=(4, 31))
+    ids = pad_batch([row[:n].tolist() for row, n in zip(rows, (16, 22, 31, 25))])
+    with Tape() as tape:
+        loss = model.loss(model.forward(ids, train=True, rng=np.random.default_rng(2)),
+                          [0, 1, 0, 0])
+        backward(loss)
+    assert len(tape) <= 100
+
+
+def _mixed_label_model(small_corpus, subtask):
+    config = tiny_config(small_corpus)
+    data = load_training_data(config)
+    model = build_model(dataclasses.replace(config, subtask=subtask), len(data.vocab),
+                        np.random.default_rng(3))
+    # move the head's decision threshold between the two middle rows, so
+    # both labels occur and no row sits near the boundary
+    ids = pad_batch(data.token_ids, pad_id=data.vocab.pad_id)
+    z = pooler(encode_batch(model.encoder, ids), model.encoder).values @ model.head.weight.values.T
+    if subtask == 1:
+        z = z[:, 1:] - z[:, :1]
+    mid = len(z) // 2
+    model.head.bias.values[-z.shape[1]:] -= np.sort(z, axis=0)[mid - 1 : mid + 1].mean(axis=0)
+    return model, data
+
+
+@pytest.mark.parametrize("subtask", [1, 2])
+def test_length_sorted_prediction_keeps_input_order(small_corpus, subtask):
+    model, data = _mixed_label_model(small_corpus, subtask)
+    indices = np.random.default_rng(4).permutation(len(data.token_ids))
+    assert len({len(data.token_ids[i]) for i in indices}) > 5
+    preds = predict_indices(model, data, indices)
+    alone = np.array([predict_indices(model, data, [i])[0] for i in indices])
+    assert np.array_equal(preds, alone)
+    assert len(np.unique(preds)) > 1  # the check is not vacuous
+    with pytest.raises(ContractError):
+        predict_indices(model, data, [])
+
+
+def test_predict_records_keeps_input_order(small_corpus, tmp_path):
+    model, data = _mixed_label_model(small_corpus, 1)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, model.encoder.config, model.named(), None,
+                    {"subtask": 1, "vocab": data.vocab.tokens})
+    records = [data.records[i] for i in np.random.default_rng(5).permutation(len(data.records))]
+    par_ids, labels = predict_records(path, records)
+    assert par_ids == [r.par_id for r in records]
+    assert labels == [predict_records(path, [r])[1][0] for r in records]
+    assert set(labels) == {0, 1}
