@@ -192,6 +192,12 @@ def _cmd_evaluate(args) -> int:
     missing = [pid for pid in golds if pid not in preds]
     if missing:
         raise ContractError(f"predictions missing {len(missing)} par_ids, e.g. {missing[:3]}")
+    unknown = [pid for pid in preds if pid not in golds]
+    if unknown:
+        raise ContractError(
+            f"predictions hold {len(unknown)} par_ids absent from the gold file, "
+            f"e.g. {unknown[:3]}"
+        )
     ordered_golds = [golds[pid] for pid in golds]
     ordered_preds = [preds[pid] for pid in golds]
     if args.subtask == 1:

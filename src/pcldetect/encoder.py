@@ -212,7 +212,7 @@ def pooler(h: Tensor, params: EncoderParams) -> Tensor:
 # checkpoint format
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(
@@ -222,11 +222,14 @@ def save_checkpoint(
     optimizer_state: dict | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Write a bit-exact .npz dump of config, parameters and optimizer state.
+    """Write a bit-exact .npz dump of config, parameters and metadata.
 
     `named_params` maps name -> Tensor for every trainable parameter
-    (encoder plus heads). Uncompressed npz keeps the file bytes a pure
-    function of the content, so equal runs hash identically.
+    (encoder plus heads); `optimizer_state` holds JSON scalars such as the
+    step count. A checkpoint is a best-validation snapshot, not a resume
+    point, so the optimizer's moments are not stored. Uncompressed npz
+    keeps the file bytes a pure function of the content, so equal runs
+    hash identically.
     """
     arrays = {f"param/{n}": t.values for n, t in named_params.items()}
     header = {
@@ -235,12 +238,7 @@ def save_checkpoint(
         "meta": meta or {},
     }
     if optimizer_state is not None:
-        header["optimizer"] = {
-            k: v for k, v in optimizer_state.items() if k not in ("m", "v")
-        }
-        for moment in ("m", "v"):
-            for n, arr in optimizer_state[moment].items():
-                arrays[f"opt/{moment}/{n}"] = arr
+        header["optimizer"] = optimizer_state
     arrays["header"] = np.array(json.dumps(header, sort_keys=True))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -253,17 +251,9 @@ def load_checkpoint(path):
         if header["version"] != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {header['version']}")
         config = EncoderConfig(**header["encoder_config"])
-        params = {}
-        moments = {"m": {}, "v": {}}
-        for key in data.files:
-            if key.startswith("param/"):
-                params[key[len("param/"):]] = Tensor(data[key], requires_grad=True)
-            elif key.startswith("opt/"):
-                _, moment, name = key.split("/", 2)
-                moments[moment][name] = np.array(data[key])
-        opt_state = None
-        if "optimizer" in header:
-            opt_state = dict(header["optimizer"])
-            opt_state["m"] = moments["m"]
-            opt_state["v"] = moments["v"]
-    return config, params, opt_state, header["meta"]
+        params = {
+            key[len("param/"):]: Tensor(data[key], requires_grad=True)
+            for key in data.files
+            if key.startswith("param/")
+        }
+    return config, params, header.get("optimizer"), header["meta"]

@@ -97,8 +97,11 @@ def write_predictions(path, par_ids, labels) -> None:
 
 
 def read_predictions(path):
-    """Parse a prediction file into (par_ids, labels); detects bit vectors."""
-    par_ids, labels = [], []
+    """Parse a prediction file into (par_ids, labels); detects bit vectors.
+
+    A par_id may occur once: a repeat would leave its label ambiguous.
+    """
+    par_ids, labels, seen = [], [], set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -110,6 +113,9 @@ def read_predictions(path):
                     f"{path}: line {lineno}: expected `par_id<TAB>label`, got {len(cells)} cells"
                 )
             pid, lab = cells
+            if pid in seen:
+                raise ContractError(f"{path}: line {lineno}: duplicate par_id {pid!r}")
+            seen.add(pid)
             par_ids.append(pid)
             if "," in lab:
                 labels.append(tuple(int(b) for b in lab.split(",")))

@@ -7,7 +7,9 @@ import hashlib
 import json
 import logging
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,7 +60,7 @@ from .sampler import draw_epoch, wrs_weights
 
 logger = logging.getLogger(__name__)
 
-EVAL_BATCH = 32
+EVAL_BATCH = 16
 
 
 @dataclass
@@ -328,19 +330,46 @@ def build_optimizer(config: RunConfig, named: dict) -> AdamW:
 # ---------------------------------------------------------------------------
 
 
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _predict_token_ids(model: Model, token_ids, pad_id: int) -> np.ndarray:
     """Hard predictions (eval mode) for id sequences, in input order.
 
     Rows are batched in order of token length (stable), so each batch pads
-    little, and the predictions are scattered back to input order.
+    little, and the predictions are scattered back to input order. With w
+    workers (one per core, at most one per batch), the calling thread
+    computes batches 0, w, 2w, ... and helper thread k the batches k, k+w,
+    ...; numpy, BLAS and erf release the interpreter lock, so the workers'
+    batches overlap. Each batch is computed as a serial loop computes it.
     """
     if not token_ids:
         raise ContractError("no examples to predict")
     order = np.argsort([len(t) for t in token_ids], kind="stable")
-    batches = []
-    for start in range(0, order.size, EVAL_BATCH):
-        ids = pad_batch([token_ids[i] for i in order[start : start + EVAL_BATCH]], pad_id=pad_id)
-        batches.append(model.predict(model.forward(ids)))
+    starts = range(0, order.size, EVAL_BATCH)
+    workers = min(_cores(), len(starts))
+
+    def run(share):
+        out = []
+        for start in share:
+            ids = pad_batch(
+                [token_ids[i] for i in order[start : start + EVAL_BATCH]], pad_id=pad_id
+            )
+            out.append(model.predict(model.forward(ids)))
+        return out
+
+    batches = [None] * len(starts)
+    # no thread starts until a share is submitted, so one worker runs alone
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        helpers = [pool.submit(run, starts[k::workers]) for k in range(1, workers)]
+        batches[0::workers] = run(starts[0::workers])
+        for k, helper in enumerate(helpers, start=1):
+            batches[k::workers] = helper.result()
     in_length_order = np.concatenate(batches)
     preds = np.empty_like(in_length_order)
     preds[order] = in_length_order
@@ -448,7 +477,6 @@ def train_fold(
     def take_snapshot():
         return (
             {name: t.values.copy() for name, t in named.items()},
-            optimizer.state_dict(),
             {"dropout": dropout_rng.bit_generator.state, "step": step},
         )
 
@@ -506,7 +534,7 @@ def train_fold(
         snapshot = take_snapshot()
 
     ckpt_path = run_dir / f"fold{fold}.npz"
-    _write_checkpoint(ckpt_path, config, data, model, snapshot, fold, total_steps)
+    _write_checkpoint(ckpt_path, config, data, optimizer.groups, snapshot, fold, total_steps)
     return FoldOutcome(
         fold=fold,
         best_metric=best,
@@ -521,12 +549,17 @@ def train_fold(
     )
 
 
-def _write_checkpoint(path, config, data, model, snapshot, fold, total_steps):
-    values, opt_state, rng_meta = snapshot
+# file paths stay out of checkpoints, so equal runs write equal bytes in any
+# directory; metadata.json keeps them
+_PATH_KEYS = ("data_path", "negatives_path", "out_dir")
+
+
+def _write_checkpoint(path, config, data, groups, snapshot, fold, total_steps):
+    values, rng_meta = snapshot
     tensors = {name: ag.Tensor(arr, requires_grad=True) for name, arr in values.items()}
-    groups = build_groups(config, tensors)
+    run_config = {k: v for k, v in config.to_dict().items() if k not in _PATH_KEYS}
     meta = {
-        "run_config": config.to_dict(),
+        "run_config": run_config,
         "subtask": config.subtask,
         "seed": config.seed,
         "fold": fold,
@@ -546,7 +579,7 @@ def _write_checkpoint(path, config, data, model, snapshot, fold, total_steps):
         path,
         config.encoder_config(len(data.vocab)),
         tensors,
-        optimizer_state=opt_state,
+        optimizer_state={"step_count": rng_meta["step"]},
         meta=meta,
     )
 

@@ -212,3 +212,23 @@ def test_more_groups_than_layers_is_refused_before_writing(corpus, tmp_path, cap
     assert code == 1
     assert "groups" in _one_line_error(capsys)
     assert not (out_dir / "vocab.txt").exists()
+
+
+def test_evaluate_refuses_a_duplicated_prediction_id(corpus, tmp_path, capsys):
+    records = synthetic_binary_records(n=60, positive_frac=0.25, seed=11)
+    pred = tmp_path / "preds.tsv"
+    lines = [f"{r.par_id}\t0" for r in records] + [f"{records[0].par_id}\t1"]
+    pred.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["evaluate", "--gold", str(corpus), "--pred", str(pred)])
+    assert code == 1
+    assert "duplicate par_id" in _one_line_error(capsys)
+
+
+def test_evaluate_refuses_prediction_ids_absent_from_gold(corpus, tmp_path, capsys):
+    records = synthetic_binary_records(n=60, positive_frac=0.25, seed=11)
+    pred = tmp_path / "preds.tsv"
+    lines = [f"{r.par_id}\t0" for r in records] + ["not-in-gold\t1"]
+    pred.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["evaluate", "--gold", str(corpus), "--pred", str(pred)])
+    assert code == 1
+    assert "absent from the gold file" in _one_line_error(capsys)

@@ -2,14 +2,18 @@ import dataclasses
 import json
 import logging
 import math
+import shutil
+import sys
 
 import numpy as np
 import pytest
 
+from pcldetect import trainer
 from pcldetect.autograd import Tape, backward
+from pcldetect.cli import main
 from pcldetect.data import pad_batch
 from pcldetect.encoder import encode_batch, pooler, save_checkpoint
-from pcldetect.errors import ConfigError, ContractError, TrainingDivergedError
+from pcldetect.errors import ConfigError, ContractError, NumericsError, TrainingDivergedError
 from pcldetect.trainer import (
     RunConfig,
     build_model,
@@ -313,3 +317,97 @@ def test_predict_records_keeps_input_order(small_corpus, tmp_path):
     assert par_ids == [r.par_id for r in records]
     assert labels == [predict_records(path, [r])[1][0] for r in records]
     assert set(labels) == {0, 1}
+
+
+def _serial_predictions(model, data, indices):
+    """Reference: one plain loop over the length-sorted batches of EVAL_BATCH."""
+    rows = [data.token_ids[i] for i in indices]
+    order = np.argsort([len(r) for r in rows], kind="stable")
+    batches = [
+        model.predict(model.forward(pad_batch(
+            [rows[i] for i in order[start : start + trainer.EVAL_BATCH]],
+            pad_id=data.vocab.pad_id,
+        )))
+        for start in range(0, order.size, trainer.EVAL_BATCH)
+    ]
+    preds = np.empty_like(np.concatenate(batches))
+    preds[order] = np.concatenate(batches)
+    return preds
+
+
+@pytest.mark.parametrize("subtask", [1, 2])
+def test_threaded_prediction_equals_a_serial_loop(small_corpus, subtask, monkeypatch):
+    model, data = _mixed_label_model(small_corpus, subtask)
+    indices = np.random.default_rng(6).permutation(len(data.token_ids))
+    assert len(indices) > 2 * trainer.EVAL_BATCH  # both workers get several batches
+    serial = _serial_predictions(model, data, indices)
+    for cores in (1, 2):
+        monkeypatch.setattr(trainer, "_cores", lambda: cores)
+        assert np.array_equal(predict_indices(model, data, indices), serial)
+    # more workers than cores, switching threads as often as the interpreter can
+    monkeypatch.setattr(trainer, "_cores", lambda: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert np.array_equal(predict_indices(model, data, indices), serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numerics_error_in_a_helper_batch_reaches_the_caller(
+    small_corpus, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(trainer, "_cores", lambda: 2)
+    model, data = _mixed_label_model(small_corpus, 1)
+    by_length = np.argsort([len(t) for t in data.token_ids], kind="stable")
+    indices = by_length[: 2 * trainer.EVAL_BATCH]  # batch 0 for the caller, 1 for the helper
+    caller_rows = indices[: trainer.EVAL_BATCH]
+    width = max(len(data.token_ids[i]) for i in caller_rows)
+    assert max(len(data.token_ids[i]) for i in indices) > width
+    # a position only the helper's longer rows reach: its attention scores turn NaN
+    model.encoder["embeddings.position"].values[width] = np.inf
+    predict_indices(model, data, caller_rows)  # the caller's batch alone is finite
+    with pytest.raises(NumericsError, match="attention scores"):
+        predict_indices(model, data, indices)
+
+    ckpt, tsv, out = tmp_path / "poisoned.npz", tmp_path / "data.tsv", tmp_path / "out.tsv"
+    save_checkpoint(ckpt, model.encoder.config, model.named(), None,
+                    {"subtask": 1, "vocab": data.vocab.tokens})
+    write_binary_tsv(tsv, [data.records[i] for i in indices])
+    code = main(["predict", "--checkpoint", str(ckpt), "--data", str(tsv), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: attention scores") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_training_is_the_same_with_one_or_two_workers(small_corpus, tmp_path, monkeypatch):
+    config = tiny_config(small_corpus, epochs=2)
+    data = load_training_data(config)
+    train_idx, val_idx = make_folds(config, data).split(0)
+    assert len(val_idx) > trainer.EVAL_BATCH  # evaluation uses both workers
+    outcomes = []
+    for cores in (1, 2):
+        monkeypatch.setattr(trainer, "_cores", lambda: cores)
+        outcomes.append(train_fold(config, data, train_idx, val_idx, 0, tmp_path / str(cores)))
+    one, two = outcomes
+    assert len(one.history) > 1
+    assert (one.history, one.best_step, one.losses) == (two.history, two.best_step, two.losses)
+
+
+def test_checkpoint_bytes_do_not_depend_on_paths(small_corpus, tmp_path):
+    checkpoints = []
+    for name in ("a", "a_longer_directory_name"):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        data_path = run_dir / "train.tsv"
+        shutil.copy(small_corpus, data_path)
+        config = tiny_config(data_path, out_dir=str(run_dir))
+        data = load_training_data(config)
+        train_idx, val_idx = make_folds(config, data).split(0)
+        train_fold(config, data, train_idx, val_idx, 0, run_dir)
+        checkpoints.append((run_dir / "fold0.npz").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+    with np.load(run_dir / "fold0.npz") as saved:
+        assert not [k for k in saved.files if k.startswith("opt/")]  # no optimizer moments
