@@ -179,7 +179,10 @@ def _labels_by_par_id(path: str, subtask: int) -> dict:
     if first.count("\t") == 5:  # full labeled TSV rather than a prediction file
         if subtask == 1:
             records = load_subtask1_tsv(path)
-            return {r.par_id: binarize_label(r.raw_label) for r in records}
+            labels = {r.par_id: binarize_label(r.raw_label) for r in records}
+            if len(labels) != len(records):
+                raise ContractError(f"{path}: {len(records) - len(labels)} duplicate par_ids")
+            return labels
         records = load_subtask2_labels(path)
         return {r.par_id: tuple(r.category_vector) for r in records}
     par_ids, labels = read_predictions(path)

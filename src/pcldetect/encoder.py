@@ -219,15 +219,13 @@ def save_checkpoint(
     path,
     config: EncoderConfig,
     named_params: dict,
-    optimizer_state: dict | None = None,
     meta: dict | None = None,
 ) -> None:
     """Write a bit-exact .npz dump of config, parameters and metadata.
 
     `named_params` maps name -> Tensor for every trainable parameter
-    (encoder plus heads); `optimizer_state` holds JSON scalars such as the
-    step count. A checkpoint is a best-validation snapshot, not a resume
-    point, so the optimizer's moments are not stored. Uncompressed npz
+    (encoder plus heads). A checkpoint is a best-validation snapshot, not a
+    resume point, so no optimizer state is stored. Uncompressed npz
     keeps the file bytes a pure function of the content, so equal runs
     hash identically.
     """
@@ -237,15 +235,13 @@ def save_checkpoint(
         "encoder_config": config.to_dict(),
         "meta": meta or {},
     }
-    if optimizer_state is not None:
-        header["optimizer"] = optimizer_state
     arrays["header"] = np.array(json.dumps(header, sort_keys=True))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (config, named_params, optimizer_state, meta)."""
+    """Read a checkpoint; returns (config, named_params, meta)."""
     with np.load(path) as data:
         header = json.loads(str(data["header"]))
         if header["version"] != CHECKPOINT_VERSION:
@@ -256,4 +252,4 @@ def load_checkpoint(path):
             for key in data.files
             if key.startswith("param/")
         }
-    return config, params, header.get("optimizer"), header["meta"]
+    return config, params, header["meta"]

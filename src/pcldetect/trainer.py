@@ -61,6 +61,9 @@ from .sampler import draw_epoch, wrs_weights
 logger = logging.getLogger(__name__)
 
 EVAL_BATCH = 16
+# Prediction runs on at most this many threads. Two is what has been
+# measured; each thread's malloc arena keeps its own batch-sized heap.
+PREDICT_WORKERS = 2
 
 
 @dataclass
@@ -343,16 +346,17 @@ def _predict_token_ids(model: Model, token_ids, pad_id: int) -> np.ndarray:
 
     Rows are batched in order of token length (stable), so each batch pads
     little, and the predictions are scattered back to input order. With w
-    workers (one per core, at most one per batch), the calling thread
-    computes batches 0, w, 2w, ... and helper thread k the batches k, k+w,
-    ...; numpy, BLAS and erf release the interpreter lock, so the workers'
-    batches overlap. Each batch is computed as a serial loop computes it.
+    workers (one per core, at most PREDICT_WORKERS and one per batch), the
+    calling thread computes batches 0, w, 2w, ... and helper thread k the
+    batches k, k+w, ...; numpy, BLAS and erf release the interpreter lock,
+    so the workers' batches overlap. Each batch is computed as a serial
+    loop computes it.
     """
     if not token_ids:
         raise ContractError("no examples to predict")
     order = np.argsort([len(t) for t in token_ids], kind="stable")
     starts = range(0, order.size, EVAL_BATCH)
-    workers = min(_cores(), len(starts))
+    workers = min(_cores(), PREDICT_WORKERS, len(starts))
 
     def run(share):
         out = []
@@ -575,13 +579,7 @@ def _write_checkpoint(path, config, data, groups, snapshot, fold, total_steps):
         "eta": config.eta,
         "head_multiplier": config.head_multiplier,
     }
-    save_checkpoint(
-        path,
-        config.encoder_config(len(data.vocab)),
-        tensors,
-        optimizer_state={"step_count": rng_meta["step"]},
-        meta=meta,
-    )
+    save_checkpoint(path, config.encoder_config(len(data.vocab)), tensors, meta)
 
 
 def file_sha256(path) -> str:
@@ -694,7 +692,7 @@ def lambda_sweep(config: RunConfig, grid, run_dir):
 
 def load_model(ckpt_path):
     """Rebuild (model, vocab, meta) from a checkpoint file."""
-    enc_config, params, _, meta = load_checkpoint(ckpt_path)
+    enc_config, params, meta = load_checkpoint(ckpt_path)
     encoder_tensors = {n: t for n, t in params.items() if not n.startswith("classifier.")}
     encoder = EncoderParams(enc_config, encoder_tensors)
     weight, bias = params["classifier.weight"], params["classifier.bias"]

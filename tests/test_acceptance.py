@@ -204,8 +204,8 @@ def test_acceptance_degeneracy_bit_exact(tmp_path):
         assert a.steps_taken >= 200 and b.steps_taken >= 200
         assert a.losses[:200] == b.losses[:200]
         assert a.losses == b.losses
-        _, params_a, _, _ = load_checkpoint(a.checkpoint_path)
-        _, params_b, _, _ = load_checkpoint(b.checkpoint_path)
+        _, params_a, _ = load_checkpoint(a.checkpoint_path)
+        _, params_b, _ = load_checkpoint(b.checkpoint_path)
         for name in params_a:
             assert params_a[name].values.tobytes() == params_b[name].values.tobytes(), name
 

@@ -224,6 +224,15 @@ def test_evaluate_refuses_a_duplicated_prediction_id(corpus, tmp_path, capsys):
     assert "duplicate par_id" in _one_line_error(capsys)
 
 
+def test_evaluate_refuses_a_duplicated_id_in_a_labelled_file(corpus, tmp_path, capsys):
+    records = synthetic_binary_records(n=60, positive_frac=0.25, seed=11)
+    pred = tmp_path / "labelled.tsv"
+    write_binary_tsv(pred, records + records[:1])
+    code = main(["evaluate", "--gold", str(corpus), "--pred", str(pred)])
+    assert code == 1
+    assert "duplicate par_id" in _one_line_error(capsys)
+
+
 def test_evaluate_refuses_prediction_ids_absent_from_gold(corpus, tmp_path, capsys):
     records = synthetic_binary_records(n=60, positive_frac=0.25, seed=11)
     pred = tmp_path / "preds.tsv"

@@ -191,21 +191,20 @@ def test_encoder_gradcheck_small(params):
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, params):
-    opt_state = {"step_count": 7}
-    meta = {"subtask": 1, "note": "round trip"}
+    meta = {"subtask": 1, "note": "round trip", "schedule": {"snapshot_step": 7}}
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params.config, params.tensors, opt_state, meta)
-    config2, tensors2, opt2, meta2 = load_checkpoint(path)
+    save_checkpoint(path, params.config, params.tensors, meta)
+    config2, tensors2, meta2 = load_checkpoint(path)
     assert config2 == params.config
     assert meta2 == meta
     assert set(tensors2) == set(params.tensors)
     for name, t in params.tensors.items():
         assert t.values.tobytes() == tensors2[name].values.tobytes()
-    assert opt2["step_count"] == 7
+    assert meta2["schedule"]["snapshot_step"] == 7
 
 
 def test_checkpoint_bytes_deterministic(tmp_path, params):
     p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
-    save_checkpoint(p1, params.config, params.tensors, None, {"k": 1})
-    save_checkpoint(p2, params.config, params.tensors, None, {"k": 1})
+    save_checkpoint(p1, params.config, params.tensors, {"k": 1})
+    save_checkpoint(p2, params.config, params.tensors, {"k": 1})
     assert p1.read_bytes() == p2.read_bytes()

@@ -4,6 +4,7 @@ import logging
 import math
 import shutil
 import sys
+from threading import get_ident
 
 import numpy as np
 import pytest
@@ -310,7 +311,7 @@ def test_length_sorted_prediction_keeps_input_order(small_corpus, subtask):
 def test_predict_records_keeps_input_order(small_corpus, tmp_path):
     model, data = _mixed_label_model(small_corpus, 1)
     path = tmp_path / "model.npz"
-    save_checkpoint(path, model.encoder.config, model.named(), None,
+    save_checkpoint(path, model.encoder.config, model.named(),
                     {"subtask": 1, "vocab": data.vocab.tokens})
     records = [data.records[i] for i in np.random.default_rng(5).permutation(len(data.records))]
     par_ids, labels = predict_records(path, records)
@@ -344,8 +345,14 @@ def test_threaded_prediction_equals_a_serial_loop(small_corpus, subtask, monkeyp
     for cores in (1, 2):
         monkeypatch.setattr(trainer, "_cores", lambda: cores)
         assert np.array_equal(predict_indices(model, data, indices), serial)
-    # more workers than cores, switching threads as often as the interpreter can
-    monkeypatch.setattr(trainer, "_cores", lambda: 5)
+    # more cores than PREDICT_WORKERS: still that many threads
+    monkeypatch.setattr(trainer, "_cores", lambda: 8)
+    threads, forward = set(), model.forward
+    monkeypatch.setattr(model, "forward", lambda ids: threads.add(get_ident()) or forward(ids))
+    assert np.array_equal(predict_indices(model, data, indices), serial)
+    assert len(threads) == trainer.PREDICT_WORKERS == 2
+    # five workers, switching threads as often as the interpreter can
+    monkeypatch.setattr(trainer, "PREDICT_WORKERS", 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -372,7 +379,7 @@ def test_numerics_error_in_a_helper_batch_reaches_the_caller(
         predict_indices(model, data, indices)
 
     ckpt, tsv, out = tmp_path / "poisoned.npz", tmp_path / "data.tsv", tmp_path / "out.tsv"
-    save_checkpoint(ckpt, model.encoder.config, model.named(), None,
+    save_checkpoint(ckpt, model.encoder.config, model.named(),
                     {"subtask": 1, "vocab": data.vocab.tokens})
     write_binary_tsv(tsv, [data.records[i] for i in indices])
     code = main(["predict", "--checkpoint", str(ckpt), "--data", str(tsv), "--out", str(out)])
