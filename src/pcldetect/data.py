@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError, StratificationError
+from .files import atomic_open
 
 RESERVED_TOKENS = ("[PAD]", "[CLS]", "[SEP]", "[UNK]", "<e>", "</e>")
 
@@ -25,6 +26,7 @@ CATEGORIES = (
     "Compassion",
     "The poorer, the merrier",
 )
+NUM_CATEGORIES = len(CATEGORIES)
 
 SUBTASK1_COLUMNS = ("par_id", "art_id", "keyword", "country", "text", "label")
 SUBTASK2_COLUMNS = ("par_id", "art_id", "text", "keyword", "country", "category")
@@ -49,9 +51,9 @@ class ParagraphRecord:
     def __post_init__(self):
         if self.raw_label is not None and self.raw_label not in range(5):
             raise ParseError(f"label {self.raw_label} out of range 0..4")
-        if self.category_vector is not None and len(self.category_vector) != len(CATEGORIES):
+        if self.category_vector is not None and len(self.category_vector) != NUM_CATEGORIES:
             raise ParseError(
-                f"category vector must have {len(CATEGORIES)} entries, "
+                f"category vector must have {NUM_CATEGORIES} entries, "
                 f"got {len(self.category_vector)}"
             )
 
@@ -114,7 +116,7 @@ class Vocabulary:
         return [self.tokens[i] for i in ids]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(self.tokens) + "\n")
 
     @classmethod
@@ -271,7 +273,7 @@ def load_subtask2_labels(path, has_header: bool = False, columns=None) -> list[P
                 "country": cells[order["country"]],
                 "text": cells[order["text"]],
             }
-            bits[par_id] = [0] * len(CATEGORIES)
+            bits[par_id] = [0] * NUM_CATEGORIES
         bits[par_id][cat_index[category]] = 1
     return [
         ParagraphRecord(category_vector=tuple(bits[pid]), **fields)

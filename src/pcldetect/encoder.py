@@ -15,6 +15,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ConfigError, ContractError
+from .files import atomic_open
 
 MASK_BIAS = -1e9  # exp() of (score + bias - max) underflows to exactly 0.0
 
@@ -236,7 +237,7 @@ def save_checkpoint(
         "meta": meta or {},
     }
     arrays["header"] = np.array(json.dumps(header, sort_keys=True))
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 

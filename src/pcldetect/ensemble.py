@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ConfigError, ContractError
+from .files import atomic_open
 
 # conventional seed set for the five training runs feeding top-3 selection
 DEFAULT_SEEDS = (13, 21, 42, 87, 100)
@@ -89,7 +90,7 @@ def vote_multilabel(pred_sets) -> list[tuple[int, ...]]:
 
 def write_predictions(path, par_ids, labels) -> None:
     """One `par_id<TAB>label` line per example; bit vectors join on commas."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for pid, lab in zip(par_ids, labels):
             if isinstance(lab, (list, tuple)):
                 lab = ",".join(str(int(b)) for b in lab)

@@ -6,9 +6,9 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .data import NUM_CATEGORIES
 from .errors import ContractError
 
-NUM_CATEGORIES = 7
 PROB_CLAMP = 1e-12
 
 INIT_STD = 0.02

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .data import NUM_CATEGORIES
 from .errors import ContractError
-
-NUM_CATEGORIES = 7
 
 
 @dataclass(frozen=True)

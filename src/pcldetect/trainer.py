@@ -8,6 +8,9 @@ import json
 import logging
 import math
 import os
+import pickle
+import signal
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,7 +40,14 @@ from .encoder import (
     pooler,
     save_checkpoint,
 )
-from .errors import ConfigError, ContractError, NumericsError, TrainingDivergedError
+from .errors import (
+    ConfigError,
+    ContractError,
+    NumericsError,
+    PcldetectError,
+    TrainingDivergedError,
+)
+from .files import atomic_open
 from .heads import (
     BinaryHeadParams,
     MultiLabelHeadParams,
@@ -64,6 +74,10 @@ EVAL_BATCH = 16
 # Prediction runs on at most this many threads. Two is what has been
 # measured; each thread's malloc arena keeps its own batch-sized heap.
 PREDICT_WORKERS = 2
+# A fold hands its periodic evaluations to a forked child when its first
+# evaluation took longer than this; a fork, exit and wait of a 90 MB
+# training process measured about 5 ms.
+FORK_MIN_EVAL_S = 0.05
 
 
 @dataclass
@@ -341,22 +355,22 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _predict_token_ids(model: Model, token_ids, pad_id: int) -> np.ndarray:
+def _predict_token_ids(model: Model, token_ids, pad_id: int, max_workers=None) -> np.ndarray:
     """Hard predictions (eval mode) for id sequences, in input order.
 
     Rows are batched in order of token length (stable), so each batch pads
     little, and the predictions are scattered back to input order. With w
-    workers (one per core, at most PREDICT_WORKERS and one per batch), the
-    calling thread computes batches 0, w, 2w, ... and helper thread k the
-    batches k, k+w, ...; numpy, BLAS and erf release the interpreter lock,
-    so the workers' batches overlap. Each batch is computed as a serial
-    loop computes it.
+    workers (one per core, at most `max_workers` or else PREDICT_WORKERS,
+    and one per batch), the calling thread computes batches 0, w, 2w, ...
+    and helper thread k the batches k, k+w, ...; numpy, BLAS and erf
+    release the interpreter lock, so the workers' batches overlap. Each
+    batch is computed as a serial loop computes it.
     """
     if not token_ids:
         raise ContractError("no examples to predict")
     order = np.argsort([len(t) for t in token_ids], kind="stable")
     starts = range(0, order.size, EVAL_BATCH)
-    workers = min(_cores(), PREDICT_WORKERS, len(starts))
+    workers = min(_cores(), max_workers or PREDICT_WORKERS, len(starts))
 
     def run(share):
         out = []
@@ -380,19 +394,79 @@ def _predict_token_ids(model: Model, token_ids, pad_id: int) -> np.ndarray:
     return preds
 
 
-def predict_indices(model: Model, data: TrainingData, indices) -> np.ndarray:
+def predict_indices(model: Model, data: TrainingData, indices, max_workers=None) -> np.ndarray:
     """Hard predictions for a set of example indices (eval mode)."""
-    return _predict_token_ids(model, [data.token_ids[i] for i in indices], data.vocab.pad_id)
+    token_ids = [data.token_ids[i] for i in indices]
+    return _predict_token_ids(model, token_ids, data.vocab.pad_id, max_workers)
 
 
-def eval_metric(model: Model, data: TrainingData, indices) -> float:
+def eval_metric(model: Model, data: TrainingData, indices, max_workers=None) -> float:
     """Positive-class F1 (subtask 1) or macro F1 (subtask 2) on the given split."""
-    preds = predict_indices(model, data, indices)
+    preds = predict_indices(model, data, indices, max_workers)
     if model.subtask == 1:
         golds = data.binary_labels[indices]
         return prf1_positive(preds.tolist(), golds.tolist())[2]
     golds = data.label_vectors[indices].astype(int)
     return macro_f1([tuple(p) for p in preds], [tuple(g) for g in golds])[1]
+
+
+class _ChildEval:
+    """`eval_metric` in a forked child, on its copy-on-write image of the model.
+
+    The child predicts serially, since the parent goes on training on the
+    other core, pickles the metric or the error it raised into a pipe and
+    leaves through `os._exit`, so no handler or buffer of the parent runs
+    twice.
+    """
+
+    def __init__(self, model: Model, data: TrainingData, indices):
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                try:
+                    outcome = (True, eval_metric(model, data, indices, max_workers=1))
+                except BaseException as exc:  # sent to the parent, which raises it
+                    outcome = (False, exc)
+                payload = pickle.dumps(outcome)  # all or nothing reaches the pipe
+                with os.fdopen(write_fd, "wb") as fh:
+                    fh.write(payload)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self.pid, self.fd = pid, read_fd
+
+    def result(self) -> float:
+        """Wait for the child and reap it; its metric, or its error raised here."""
+        try:
+            chunks = []
+            while chunk := os.read(self.fd, 1 << 16):
+                chunks.append(chunk)
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+        finally:
+            self.close()
+        if not chunks:
+            raise PcldetectError(
+                f"evaluation child exited without a result (wait status {status})"
+            )
+        ok, value = pickle.loads(b"".join(chunks))
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Kill the child if it was not waited for, reap it, close the pipe."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
 
 
 # ---------------------------------------------------------------------------
@@ -478,64 +552,94 @@ def train_fold(
     losses: list = []
     snapshot = None
 
+    # None until the first evaluation has been timed; then whether later
+    # evaluations may run in a forked child
+    fork_evals = None
+    pending = None  # (step, snapshot at that step, _ChildEval)
+
     def take_snapshot():
         return (
             {name: t.values.copy() for name, t in named.items()},
             {"dropout": dropout_rng.bit_generator.state, "step": step},
         )
 
-    for epoch in range(config.epochs):
-        order = _epoch_order(config, data, train_idx, epoch, order_seeds)
-        for b in range(batches_per_epoch):
-            idx = order[b * config.batch_size : (b + 1) * config.batch_size]
-            ids = pad_batch([data.token_ids[i] for i in idx], pad_id=pad)
-            golds = _batch_golds(data, idx, config.subtask)
-            step += 1
-            multiplier = cosine_warmup_multiplier(
-                ScheduleState(step, total_steps, config.warmup_frac)
-            )
-            try:
-                with Tape():
-                    probs = model.forward(ids, train=True, rng=dropout_rng)
-                    loss = model.loss(probs, golds)
-                    loss_val = loss.item()
-                    if not math.isfinite(loss_val):
-                        raise NumericsError(f"loss is {loss_val}")
-                    backward(loss)
-            except NumericsError as exc:
-                batch_ids = [data.records[i].par_id for i in idx]
-                raise TrainingDivergedError(
-                    f"non-finite loss at step {step} (epoch {epoch}): {exc}; "
-                    f"lr multiplier {multiplier:.6f}, batch par_ids {batch_ids}"
-                ) from exc
-            optimizer.step(multiplier)
-            zero_grads(named.values())
-            losses.append(loss_val)
+    def record(at, metric, candidate):
+        nonlocal best, best_step, snapshot, evals_since_improve
+        history.append((at, metric))
+        if metric > best:
+            best, best_step, snapshot = metric, at, candidate()
+            evals_since_improve = 0
+        else:
+            evals_since_improve += 1
 
-            if step % config.eval_every_batches == 0:
-                metric = eval_metric(model, data, val_idx)
-                history.append((step, metric))
-                if metric > best:
-                    best, best_step = metric, step
-                    snapshot = take_snapshot()
-                    evals_since_improve = 0
-                else:
-                    evals_since_improve += 1
-                if evals_since_improve >= config.patience_rounds:
-                    stopped_early = True
-                    break
-        logger.info(
-            "fold %d epoch %d done: step %d, loss %.4f, best %.4f",
-            fold, epoch, step, losses[-1], best if history else float("nan"),
-        )
-        if stopped_early:
-            break
+    def settle():
+        """Record the pending child's evaluation, waiting for it if need be."""
+        nonlocal pending
+        if pending is not None:
+            (at, candidate, child), pending = pending, None
+            record(at, child.result(), lambda: candidate)
+
+    try:
+        for epoch in range(config.epochs):
+            order = _epoch_order(config, data, train_idx, epoch, order_seeds)
+            for b in range(batches_per_epoch):
+                idx = order[b * config.batch_size : (b + 1) * config.batch_size]
+                ids = pad_batch([data.token_ids[i] for i in idx], pad_id=pad)
+                golds = _batch_golds(data, idx, config.subtask)
+                step += 1
+                multiplier = cosine_warmup_multiplier(
+                    ScheduleState(step, total_steps, config.warmup_frac)
+                )
+                try:
+                    with Tape():
+                        probs = model.forward(ids, train=True, rng=dropout_rng)
+                        loss = model.loss(probs, golds)
+                        loss_val = loss.item()
+                        if not math.isfinite(loss_val):
+                            raise NumericsError(f"loss is {loss_val}")
+                        backward(loss)
+                except NumericsError as exc:
+                    batch_ids = [data.records[i].par_id for i in idx]
+                    raise TrainingDivergedError(
+                        f"non-finite loss at step {step} (epoch {epoch}): {exc}; "
+                        f"lr multiplier {multiplier:.6f}, batch par_ids {batch_ids}"
+                    ) from exc
+                optimizer.step(multiplier)
+                zero_grads(named.values())
+                losses.append(loss_val)
+
+                if step % config.eval_every_batches == 0:
+                    settle()
+                    # an epoch's last evaluation (so the fold's last), and any
+                    # that could end the fold, run here
+                    decisive = (b == batches_per_epoch - 1
+                                or evals_since_improve + 1 >= config.patience_rounds)
+                    # a fork copies only the calling thread
+                    if fork_evals and not decisive and threading.active_count() == 1:
+                        pending = (step, take_snapshot(), _ChildEval(model, data, val_idx))
+                    else:
+                        t0 = time.perf_counter()
+                        metric = eval_metric(model, data, val_idx)
+                        if fork_evals is None:
+                            fork_evals = (hasattr(os, "fork") and _cores() >= 2
+                                          and time.perf_counter() - t0 > FORK_MIN_EVAL_S)
+                        record(step, metric, take_snapshot)
+                        if evals_since_improve >= config.patience_rounds:
+                            stopped_early = True
+                            break
+            settle()
+            logger.info(
+                "fold %d epoch %d done: step %d, loss %.4f, best %.4f",
+                fold, epoch, step, losses[-1], best if history else float("nan"),
+            )
+            if stopped_early:
+                break
+    finally:
+        if pending is not None:  # training raised while a child was evaluating
+            pending[2].close()
 
     if snapshot is None:  # training was shorter than one evaluation interval
-        metric = eval_metric(model, data, val_idx)
-        history.append((step, metric))
-        best, best_step = metric, step
-        snapshot = take_snapshot()
+        record(step, eval_metric(model, data, val_idx), take_snapshot)
 
     ckpt_path = run_dir / f"fold{fold}.npz"
     _write_checkpoint(ckpt_path, config, data, optimizer.groups, snapshot, fold, total_steps)
@@ -634,7 +738,8 @@ def run_kfold(config: RunConfig, run_dir):
         config.seed, [o.best_metric for o in outcomes], best.checkpoint_path
     )
     run_dir = Path(run_dir)
-    (run_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    with atomic_open(run_dir / "report.json", encoding="utf-8") as fh:
+        fh.write(report.to_json() + "\n")
     _write_metadata(run_dir, config, outcomes)
     return report, outcomes
 
@@ -662,9 +767,8 @@ def _write_metadata(run_dir, config: RunConfig, outcomes):
         ],
         "wall_clock_sec": sum(o.wall_clock for o in outcomes),
     }
-    (run_dir / "metadata.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_open(run_dir / "metadata.json", encoding="utf-8") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def lambda_sweep(config: RunConfig, grid, run_dir):
@@ -681,7 +785,8 @@ def lambda_sweep(config: RunConfig, grid, run_dir):
         rows.append((lam, float(metrics.mean()), float(metrics.std())))
         logger.info("lambda %.2f: mean %.4f std %.4f", lam, rows[-1][1], rows[-1][2])
     table = "\n".join(f"{lam:g}\t{mean:.6f}\t{std:.6f}" for lam, mean, std in rows)
-    (run_dir / "sweep.tsv").write_text(table + "\n", encoding="utf-8")
+    with atomic_open(run_dir / "sweep.tsv", encoding="utf-8") as fh:
+        fh.write(table + "\n")
     return rows
 
 

@@ -2,9 +2,12 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import shutil
 import sys
-from threading import get_ident
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,13 @@ from pcldetect.autograd import Tape, backward
 from pcldetect.cli import main
 from pcldetect.data import pad_batch
 from pcldetect.encoder import encode_batch, pooler, save_checkpoint
-from pcldetect.errors import ConfigError, ContractError, NumericsError, TrainingDivergedError
+from pcldetect.errors import (
+    ConfigError,
+    ContractError,
+    NumericsError,
+    PcldetectError,
+    TrainingDivergedError,
+)
 from pcldetect.trainer import (
     RunConfig,
     build_model,
@@ -348,7 +357,8 @@ def test_threaded_prediction_equals_a_serial_loop(small_corpus, subtask, monkeyp
     # more cores than PREDICT_WORKERS: still that many threads
     monkeypatch.setattr(trainer, "_cores", lambda: 8)
     threads, forward = set(), model.forward
-    monkeypatch.setattr(model, "forward", lambda ids: threads.add(get_ident()) or forward(ids))
+    monkeypatch.setattr(model, "forward",
+                        lambda ids: threads.add(threading.get_ident()) or forward(ids))
     assert np.array_equal(predict_indices(model, data, indices), serial)
     assert len(threads) == trainer.PREDICT_WORKERS == 2
     # five workers, switching threads as often as the interpreter can
@@ -418,3 +428,174 @@ def test_checkpoint_bytes_do_not_depend_on_paths(small_corpus, tmp_path):
     assert checkpoints[0] == checkpoints[1]
     with np.load(run_dir / "fold0.npz") as saved:
         assert not [k for k in saved.files if k.startswith("opt/")]  # no optimizer moments
+
+
+def _fork_counter(monkeypatch):
+    """Let every evaluation that may fork do so; returns the forked pids."""
+    monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", 0.0)
+    monkeypatch.setattr(trainer, "_cores", lambda: 2)
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _in_child(action, monkeypatch):
+    """Run `action(model)` before evaluating, in forked children only."""
+    parent, inner = os.getpid(), trainer.eval_metric
+
+    def eval_metric(model, data, indices, max_workers=None):
+        if os.getpid() != parent:
+            action(model)
+        return inner(model, data, indices, max_workers)
+
+    monkeypatch.setattr(trainer, "eval_metric", eval_metric)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_process_and_forked(config, tmp_path, monkeypatch):
+    """Fold 0 trained with in-process evaluations, then with forked ones."""
+    data = load_training_data(config)
+    train_idx, val_idx = make_folds(config, data).split(0)
+    forks = _fork_counter(monkeypatch)
+    outcomes = []
+    for cores in (1, 2):
+        monkeypatch.setattr(trainer, "_cores", lambda: cores)
+        outcomes.append(train_fold(config, data, train_idx, val_idx, 0, tmp_path / str(cores)))
+    _assert_no_children()
+    return outcomes, forks
+
+
+def _summary(outcome):
+    return (outcome.history, outcome.best_step, outcome.best_metric, outcome.losses,
+            outcome.steps_taken, outcome.stopped_early,
+            Path(outcome.checkpoint_path).read_bytes())
+
+
+@pytest.mark.parametrize("subtask", [1, 2])
+def test_forked_evaluation_equals_in_process(small_corpus, tmp_path, monkeypatch, subtask):
+    if subtask == 1:
+        config = tiny_config(small_corpus, epochs=8, eta=2e-2, eval_every_batches=3,
+                             patience_rounds=1000)
+    else:
+        path = tmp_path / "cats.tsv"
+        write_category_tsv(path, synthetic_category_records(n=60, seed=3))
+        config = tiny_config(path, subtask=2, epochs=4, eta=5e-2, k_folds=2,
+                             eval_every_batches=3, patience_rounds=1000)
+    (in_process, forked), forks = _in_process_and_forked(config, tmp_path, monkeypatch)
+    # every evaluation but the first and an epoch's last ran in a child
+    per_epoch = forked.planned_steps // config.epochs
+    here = {forked.history[0][0]} | {s for s, _ in forked.history if s % per_epoch == 0}
+    assert len(forks) == len(forked.history) - len(here) > 0
+    assert len({m for _, m in forked.history}) > 1  # the metric moves
+    assert _summary(forked) == _summary(in_process)
+
+
+@pytest.mark.parametrize("patience", [1, 2, 3])
+def test_forked_evaluation_stops_where_in_process_does(small_corpus, tmp_path, monkeypatch,
+                                                       patience):
+    config = tiny_config(small_corpus, epochs=6, eta=2e-2, eval_every_batches=2,
+                         patience_rounds=patience)
+    (in_process, forked), forks = _in_process_and_forked(config, tmp_path, monkeypatch)
+    assert in_process.stopped_early
+    assert _summary(forked) == _summary(in_process)
+    # an evaluation that could end the fold runs in process, so patience 1 never forks
+    assert (len(forks) > 0) == (patience > 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numerics_error_in_a_forked_evaluation_reaches_the_caller(
+    small_corpus, tmp_path, monkeypatch, capsys
+):
+    forks = _fork_counter(monkeypatch)
+
+    def poison(model):
+        model.encoder["embeddings.position"].values[1] = np.inf
+
+    _in_child(poison, monkeypatch)
+    config = tiny_config(small_corpus, epochs=2, patience_rounds=1000)
+    data = load_training_data(config)
+    train_idx, val_idx = make_folds(config, data).split(0)
+    with pytest.raises(NumericsError, match="attention scores"):
+        train_fold(config, data, train_idx, val_idx, 0, tmp_path / "fold")
+    assert forks
+    _assert_no_children()
+
+    out_dir = tmp_path / "cli"
+    code = main(["train", "--data", str(small_corpus), "--out-dir", str(out_dir),
+                 "--d-model", "16", "--n-heads", "2", "--n-layers", "2", "--d-ff", "32",
+                 "--max-len", "40", "--groups", "2", "--epochs", "2",
+                 "--eval-every-batches", "8", "--patience-rounds", "1000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: attention scores") and err.count("\n") == 1, err
+    assert not (out_dir / "fold0.npz").exists()
+    _assert_no_children()
+
+
+def test_an_evaluation_child_that_dies_is_reported_and_reaped(small_corpus, tmp_path,
+                                                              monkeypatch):
+    forks = _fork_counter(monkeypatch)
+    _in_child(lambda model: os._exit(3), monkeypatch)
+    config = tiny_config(small_corpus, epochs=2, patience_rounds=1000)
+    data = load_training_data(config)
+    train_idx, val_idx = make_folds(config, data).split(0)
+    with pytest.raises(PcldetectError, match="without a result") as err:
+        train_fold(config, data, train_idx, val_idx, 0, tmp_path)
+    assert forks and "\n" not in str(err.value)
+    _assert_no_children()
+
+
+def test_a_pending_child_is_killed_when_training_raises(small_corpus, tmp_path, monkeypatch):
+    forks = _fork_counter(monkeypatch)
+    _in_child(lambda model: time.sleep(60), monkeypatch)
+    inner = trainer.backward
+
+    def backward_until_a_fork(loss):
+        if forks:
+            raise NumericsError("injected")
+        return inner(loss)
+
+    monkeypatch.setattr(trainer, "backward", backward_until_a_fork)
+    config = tiny_config(small_corpus, epochs=2, patience_rounds=1000)
+    data = load_training_data(config)
+    train_idx, val_idx = make_folds(config, data).split(0)
+    started = time.monotonic()
+    with pytest.raises(TrainingDivergedError, match="injected"):
+        train_fold(config, data, train_idx, val_idx, 0, tmp_path)
+    assert time.monotonic() - started < 30
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("case", ["one core", "fast first evaluation", "another thread"])
+def test_nothing_forks_where_it_cannot_help_or_is_unsafe(small_corpus, tmp_path, monkeypatch,
+                                                         case):
+    monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S",
+                        math.inf if case == "fast first evaluation" else 0.0)
+    monkeypatch.setattr(trainer, "_cores", lambda: 1 if case == "one core" else 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("an evaluation forked"))
+    config = tiny_config(small_corpus, epochs=2, patience_rounds=1000)
+    data = load_training_data(config)
+    train_idx, val_idx = make_folds(config, data).split(0)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(60,))
+    if case == "another thread":
+        other.start()
+    try:
+        outcome = train_fold(config, data, train_idx, val_idx, 0, tmp_path)
+    finally:
+        stop.set()
+    if case == "another thread":
+        other.join(10)
+        assert not other.is_alive()
+    assert len(outcome.history) > 2
