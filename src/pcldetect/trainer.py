@@ -75,8 +75,9 @@ EVAL_BATCH = 16
 # measured; each thread's malloc arena keeps its own batch-sized heap.
 PREDICT_WORKERS = 2
 # A fold hands its periodic evaluations to a forked child when its first
-# evaluation took longer than this; a fork, exit and wait of a 90 MB
-# training process measured about 5 ms.
+# evaluation took longer than this. Forking every evaluation slowed the
+# benchmark's subtask-2 folds, whose evaluations take about 17 ms, by 12%;
+# the subtask-1 folds' 450-650 ms evaluations gain.
 FORK_MIN_EVAL_S = 0.05
 
 
@@ -355,22 +356,22 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _predict_token_ids(model: Model, token_ids, pad_id: int, max_workers=None) -> np.ndarray:
+def _predict_token_ids(model: Model, token_ids, pad_id: int) -> np.ndarray:
     """Hard predictions (eval mode) for id sequences, in input order.
 
     Rows are batched in order of token length (stable), so each batch pads
     little, and the predictions are scattered back to input order. With w
-    workers (one per core, at most `max_workers` or else PREDICT_WORKERS,
-    and one per batch), the calling thread computes batches 0, w, 2w, ...
-    and helper thread k the batches k, k+w, ...; numpy, BLAS and erf
-    release the interpreter lock, so the workers' batches overlap. Each
-    batch is computed as a serial loop computes it.
+    workers (one per core, at most PREDICT_WORKERS and one per batch), the
+    calling thread computes batches 0, w, 2w, ... and helper thread k the
+    batches k, k+w, ...; numpy, BLAS and erf release the interpreter lock,
+    so the workers' batches overlap. Each batch is computed as a serial
+    loop computes it.
     """
     if not token_ids:
         raise ContractError("no examples to predict")
     order = np.argsort([len(t) for t in token_ids], kind="stable")
     starts = range(0, order.size, EVAL_BATCH)
-    workers = min(_cores(), max_workers or PREDICT_WORKERS, len(starts))
+    workers = min(_cores(), PREDICT_WORKERS, len(starts))
 
     def run(share):
         out = []
@@ -394,15 +395,14 @@ def _predict_token_ids(model: Model, token_ids, pad_id: int, max_workers=None) -
     return preds
 
 
-def predict_indices(model: Model, data: TrainingData, indices, max_workers=None) -> np.ndarray:
+def predict_indices(model: Model, data: TrainingData, indices) -> np.ndarray:
     """Hard predictions for a set of example indices (eval mode)."""
-    token_ids = [data.token_ids[i] for i in indices]
-    return _predict_token_ids(model, token_ids, data.vocab.pad_id, max_workers)
+    return _predict_token_ids(model, [data.token_ids[i] for i in indices], data.vocab.pad_id)
 
 
-def eval_metric(model: Model, data: TrainingData, indices, max_workers=None) -> float:
+def eval_metric(model: Model, data: TrainingData, indices) -> float:
     """Positive-class F1 (subtask 1) or macro F1 (subtask 2) on the given split."""
-    preds = predict_indices(model, data, indices, max_workers)
+    preds = predict_indices(model, data, indices)
     if model.subtask == 1:
         golds = data.binary_labels[indices]
         return prf1_positive(preds.tolist(), golds.tolist())[2]
@@ -416,7 +416,8 @@ class _ChildEval:
     The child predicts serially, since the parent goes on training on the
     other core, pickles the metric or the error it raised into a pipe and
     leaves through `os._exit`, so no handler or buffer of the parent runs
-    twice.
+    twice. An error that does not survive pickling reaches the parent as a
+    `PcldetectError` naming it.
     """
 
     def __init__(self, model: Model, data: TrainingData, indices):
@@ -426,11 +427,20 @@ class _ChildEval:
             code = 1
             try:
                 os.close(read_fd)
+                global PREDICT_WORKERS
+                PREDICT_WORKERS = 1  # the child's own copy of the module
                 try:
-                    outcome = (True, eval_metric(model, data, indices, max_workers=1))
+                    outcome = (True, eval_metric(model, data, indices))
                 except BaseException as exc:  # sent to the parent, which raises it
                     outcome = (False, exc)
-                payload = pickle.dumps(outcome)  # all or nothing reaches the pipe
+                try:
+                    payload = pickle.dumps(outcome)  # all or nothing reaches the pipe
+                    pickle.loads(payload)
+                except Exception:
+                    exc = outcome[1]
+                    payload = pickle.dumps(
+                        (False, PcldetectError(f"{type(exc).__name__}: {exc}"))
+                    )
                 with os.fdopen(write_fd, "wb") as fh:
                     fh.write(payload)
                 code = 0

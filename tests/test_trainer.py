@@ -450,10 +450,10 @@ def _in_child(action, monkeypatch):
     """Run `action(model)` before evaluating, in forked children only."""
     parent, inner = os.getpid(), trainer.eval_metric
 
-    def eval_metric(model, data, indices, max_workers=None):
+    def eval_metric(model, data, indices):
         if os.getpid() != parent:
             action(model)
-        return inner(model, data, indices, max_workers)
+        return inner(model, data, indices)
 
     monkeypatch.setattr(trainer, "eval_metric", eval_metric)
 
@@ -551,6 +551,35 @@ def test_an_evaluation_child_that_dies_is_reported_and_reaped(small_corpus, tmp_
     data = load_training_data(config)
     train_idx, val_idx = make_folds(config, data).split(0)
     with pytest.raises(PcldetectError, match="without a result") as err:
+        train_fold(config, data, train_idx, val_idx, 0, tmp_path)
+    assert forks and "\n" not in str(err.value)
+    _assert_no_children()
+
+
+class _TwoArgError(Exception):
+    """Pickles, but unpickling calls it with one argument and fails."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize("case", ["does not pickle", "does not unpickle"])
+def test_an_error_that_cannot_cross_the_pipe_is_named(small_corpus, tmp_path, monkeypatch,
+                                                      case):
+    class LocalError(Exception):  # a local class does not pickle
+        pass
+
+    error = LocalError("bad") if case == "does not pickle" else _TwoArgError("bad", 3)
+
+    def fail(model):
+        raise error
+
+    forks = _fork_counter(monkeypatch)
+    _in_child(fail, monkeypatch)
+    config = tiny_config(small_corpus, epochs=2, patience_rounds=1000)
+    data = load_training_data(config)
+    train_idx, val_idx = make_folds(config, data).split(0)
+    with pytest.raises(PcldetectError, match=f"^{type(error).__name__}: bad") as err:
         train_fold(config, data, train_idx, val_idx, 0, tmp_path)
     assert forks and "\n" not in str(err.value)
     _assert_no_children()
