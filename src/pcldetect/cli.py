@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 from .data import load_subtask1_tsv, load_subtask2_labels, binarize_label
 from .ensemble import (
+    is_bit_vector,
     read_predictions,
     vote_binary,
     vote_multilabel,
@@ -119,9 +121,22 @@ def _cmd_kfold(args) -> int:
     return 0
 
 
+def _parse_grid(text: str) -> list[float]:
+    grid = []
+    for cell in filter(None, (x.strip() for x in text.split(","))):
+        try:
+            lam = float(cell)
+        except ValueError:
+            lam = math.nan
+        if not (math.isfinite(lam) and lam > 0):
+            raise ConfigError(f"--grid value {cell!r} is not a positive number")
+        grid.append(lam)
+    return grid
+
+
 def _cmd_sweep(args) -> int:
+    grid = _parse_grid(args.grid)
     config = _build_config(args)
-    grid = [float(x) for x in args.grid.split(",") if x.strip()]
     rows = lambda_sweep(config, grid, config.out_dir)
     print("lambda\tmean_metric\tstd")
     for lam, mean, std in rows:
@@ -153,15 +168,18 @@ def _cmd_ensemble(args) -> int:
     loaded = [read_predictions(_resolve(p)) for p in paths]
     if len(loaded) < 3:
         raise ConfigError(f"ensemble fusion needs at least 3 prediction files, got {len(loaded)}")
+    for path, (pids, _) in zip(paths, loaded):
+        if not pids:
+            raise ContractError(f"{path}: no predictions")
     base_ids = loaded[0][0]
     for pids, _ in loaded[1:]:
         if pids != base_ids:
             raise ContractError("prediction files disagree on par_id order")
     label_sets = [labels for _, labels in loaded]
-    if isinstance(label_sets[0][0], tuple):
-        fused = vote_multilabel(label_sets)
-    else:
-        fused = vote_binary(label_sets)
+    kinds = {is_bit_vector(labels[0]) for labels in label_sets}
+    if len(kinds) != 1:
+        raise ContractError("prediction files mix plain labels and bit vectors")
+    fused = vote_multilabel(label_sets) if kinds.pop() else vote_binary(label_sets)
     write_predictions(args.out, base_ids, fused)
     print(f"fused {len(paths)} voters over {len(base_ids)} examples into {args.out}")
     return 0
@@ -186,6 +204,9 @@ def _labels_by_par_id(path: str, subtask: int) -> dict:
         records = load_subtask2_labels(path)
         return {r.par_id: tuple(r.category_vector) for r in records}
     par_ids, labels = read_predictions(path)
+    if labels and is_bit_vector(labels[0]) != (subtask == 2):
+        needed = "bit vectors" if subtask == 2 else "plain labels"
+        raise ContractError(f"{path}: subtask {subtask} needs {needed}, which this file does not hold")
     return dict(zip(par_ids, labels))
 
 

@@ -100,7 +100,8 @@ def write_predictions(path, par_ids, labels) -> None:
 def read_predictions(path):
     """Parse a prediction file into (par_ids, labels); detects bit vectors.
 
-    A par_id may occur once: a repeat would leave its label ambiguous.
+    A par_id may occur once: a repeat would leave its label ambiguous. Every
+    label is an integer or a tuple of integers, all of one kind.
     """
     par_ids, labels, seen = [], [], set()
     with open(path, encoding="utf-8") as fh:
@@ -117,9 +118,20 @@ def read_predictions(path):
             if pid in seen:
                 raise ContractError(f"{path}: line {lineno}: duplicate par_id {pid!r}")
             seen.add(pid)
+            try:
+                label = tuple(int(b) for b in lab.split(",")) if "," in lab else int(lab)
+            except ValueError:
+                raise ContractError(
+                    f"{path}: line {lineno}: label {lab!r} is neither an integer "
+                    "nor comma-separated integers"
+                ) from None
+            if labels and is_bit_vector(label) != is_bit_vector(labels[0]):
+                raise ContractError(f"{path}: line {lineno}: mixes plain labels and bit vectors")
             par_ids.append(pid)
-            if "," in lab:
-                labels.append(tuple(int(b) for b in lab.split(",")))
-            else:
-                labels.append(int(lab))
+            labels.append(label)
     return par_ids, labels
+
+
+def is_bit_vector(label) -> bool:
+    """Whether a label read by `read_predictions` is a subtask-2 bit vector."""
+    return isinstance(label, tuple)

@@ -176,7 +176,16 @@ class AdamW:
     beta1=0.9, beta2=0.999, eps=1e-8 with bias correction. Weight decay is
     applied as theta <- theta - lr * wd * theta (decoupled from the adaptive
     step) and skipped for biases and layer-norm parameters.
+
+    Each group keeps one flat buffer apiece for parameters, gradients and
+    the two moments, decayed tensors first, so weight decay covers one
+    contiguous prefix. Every parameter's `values` (and its moments in `_m`,
+    `_v`) become views into these buffers. `step` applies the per-element
+    arithmetic over chunks of at most CHUNK elements whose temporaries stay
+    in cache, so a step issues a few ufunc calls per chunk, not per tensor.
     """
+
+    CHUNK = 16384
 
     def __init__(self, groups: list[ParamGroup], params: dict,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -190,31 +199,74 @@ class AdamW:
         self.params = params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self._m = {n: np.zeros(params[n].shape) for n in grouped}
-        self._v = {n: np.zeros(params[n].shape) for n in grouped}
+        self._m, self._v = {}, {}
+        self._flat = []  # per group: (names, decayed prefix length, p, g, m, v)
+        for group in groups:
+            names = sorted(group.names, key=lambda n: not decays(n))  # decayed first
+            sizes = [params[n].values.size for n in names]
+            n_decayed = sum(s for n, s in zip(names, sizes) if group.weight_decay and decays(n))
+            total = sum(sizes)
+            p, g = np.empty(total), np.empty(total)
+            m, v = np.zeros(total), np.zeros(total)
+            offset = 0
+            for name, size in zip(names, sizes):
+                t, view = params[name], slice(offset, offset + size)
+                p[view] = t.values.reshape(-1)
+                t.values = p[view].reshape(t.shape)
+                self._m[name] = m[view].reshape(t.shape)
+                self._v[name] = v[view].reshape(t.shape)
+                offset += size
+            self._flat.append((names, n_decayed, p, g, m, v))
+        self._scratch = np.empty((2, self.CHUNK))
+
+    def _gather_grads(self, names, g) -> None:
+        grads = []
+        for name in names:
+            t = self.params[name]
+            if t.grad is None:
+                raise ContractError(f"missing gradient for parameter {name!r}")
+            if t.grad.shape != t.shape:
+                raise ContractError(
+                    f"gradient for parameter {name!r} has shape {t.grad.shape}, "
+                    f"expected {t.shape}"
+                )
+            grads.append(t.grad.reshape(-1))
+        if grads:
+            np.concatenate(grads, out=g)
 
     def step(self, schedule_multiplier: float = 1.0) -> None:
+        for names, _, _, g, _, _ in self._flat:
+            self._gather_grads(names, g)
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
-        for group in self.groups:
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        bc1 = 1.0 - b1 ** self.step_count
+        bc2 = 1.0 - b2 ** self.step_count
+        for group, (_, n_decayed, p, g, m, v) in zip(self.groups, self._flat):
             lr = group.base_lr * schedule_multiplier
-            for name in group.names:
-                p = self.params[name]
-                if p.grad is None:
-                    raise ContractError(f"missing gradient for parameter {name!r}")
-                g = p.grad
-                m = self._m[name]
-                v = self._v[name]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * (g * g)
-                if group.weight_decay and decays(name):
-                    p.values *= 1.0 - lr * group.weight_decay
-                mhat = m / bc1
-                vhat = v / bc2
-                p.values -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            shrink = 1.0 - lr * group.weight_decay
+            # each element sees the operations, operands and order of the
+            # per-tensor update (the reference in tests/test_optim.py), so the
+            # results are bit-identical to it
+            for lo in range(0, p.size, self.CHUNK):
+                hi = min(lo + self.CHUNK, p.size)
+                pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+                a, b = self._scratch[0, : hi - lo], self._scratch[1, : hi - lo]
+                mc *= b1
+                np.multiply(gc, 1.0 - b1, out=a)
+                mc += a
+                vc *= b2
+                np.multiply(gc, gc, out=a)
+                a *= 1.0 - b2
+                vc += a
+                if lo < n_decayed:
+                    pc[: n_decayed - lo] *= shrink
+                np.divide(mc, bc1, out=a)
+                a *= lr
+                np.divide(vc, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                pc -= a
 
     def state_dict(self) -> dict:
         return {
@@ -224,7 +276,8 @@ class AdamW:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Copy saved moments into the flat buffers; parameters stay views."""
         self.step_count = int(state["step_count"])
         for n in self._m:
-            self._m[n] = np.array(state["m"][n])
-            self._v[n] = np.array(state["v"][n])
+            self._m[n][...] = state["m"][n]
+            self._v[n][...] = state["v"][n]

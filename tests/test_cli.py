@@ -141,7 +141,7 @@ def test_train_predict_evaluate_round_trip(corpus, tmp_path, capsys):
     code = main(["predict", "--checkpoint", str(ckpt), "--data", str(corpus),
                  "--out", str(preds)])
     assert code == 0
-    assert sum(1 for _ in preds.open()) == 60
+    assert len(preds.read_text(encoding="utf-8").splitlines()) == 60
     code = main(["evaluate", "--gold", str(corpus), "--pred", str(preds)])
     assert code == 0
     assert "f1\t" in capsys.readouterr().out
@@ -241,3 +241,65 @@ def test_evaluate_refuses_prediction_ids_absent_from_gold(corpus, tmp_path, caps
     code = main(["evaluate", "--gold", str(corpus), "--pred", str(pred)])
     assert code == 1
     assert "absent from the gold file" in _one_line_error(capsys)
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(f"{row}\n" for row in rows), encoding="utf-8")
+    return str(path)
+
+
+def test_ensemble_refuses_an_empty_prediction_file(tmp_path, capsys):
+    empty = _write_rows(tmp_path / "empty.tsv", [])
+    out = tmp_path / "fused.tsv"
+    code = main(["ensemble", "--preds", empty, empty, empty, "--out", str(out)])
+    assert code == 1
+    assert "empty.tsv: no predictions" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_ensemble_refuses_files_of_different_label_kinds(tmp_path, capsys):
+    plain = _write_rows(tmp_path / "a.tsv", ["p1\t1"])
+    bits = _write_rows(tmp_path / "b.tsv", ["p1\t1,0,0,0,0,0,0"])
+    out = tmp_path / "fused.tsv"
+    code = main(["ensemble", "--preds", plain, bits, plain, "--out", str(out)])
+    assert code == 1
+    assert "mix plain labels and bit vectors" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_ensemble_refuses_a_non_integer_label(tmp_path, capsys):
+    a = _write_rows(tmp_path / "a.tsv", ["p1\t1", "p2\tpositive"])
+    out = tmp_path / "fused.tsv"
+    code = main(["ensemble", "--preds", a, a, a, "--out", str(out)])
+    assert code == 1
+    assert "a.tsv: line 2: label 'positive'" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_evaluate_subtask2_refuses_plain_labels(tmp_path, capsys):
+    records = synthetic_category_records(n=10, seed=2)
+    gold = tmp_path / "cats.tsv"
+    write_category_tsv(gold, records)
+    pred = _write_rows(tmp_path / "preds.tsv", [f"{r.par_id}\t1" for r in records])
+    code = main(["evaluate", "--gold", str(gold), "--pred", pred, "--subtask", "2"])
+    assert code == 1
+    assert "subtask 2 needs bit vectors" in _one_line_error(capsys)
+
+
+def test_evaluate_subtask1_refuses_bit_vectors(tmp_path, capsys):
+    gold = _write_rows(tmp_path / "gold.tsv", ["p1\t1", "p2\t0"])
+    pred = _write_rows(tmp_path / "preds.tsv", ["p1\t1,0,0,0,0,0,0", "p2\t0,0,0,0,0,0,0"])
+    code = main(["evaluate", "--gold", gold, "--pred", pred, "--subtask", "1"])
+    assert code == 1
+    assert "subtask 1 needs plain labels" in _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("grid", ["1.6,abc", "1.6,-1", "nan"])
+def test_sweep_refuses_a_bad_grid_value_before_training(corpus, tmp_path, capsys, grid):
+    out_dir = tmp_path / "run"
+    code = main(["sweep", "--data", str(corpus), "--out-dir", str(out_dir),
+                 "--grid", grid, *TINY_FLAGS])
+    assert code == 1
+    assert f"--grid value {grid.split(',')[-1]!r}" in _one_line_error(capsys)
+    assert not out_dir.exists()

@@ -132,3 +132,19 @@ def test_read_predictions_rejects_bad_lines(tmp_path):
     path.write_text("p1\t1\textra\n", encoding="utf-8")
     with pytest.raises(ContractError, match="line 1"):
         read_predictions(path)
+
+
+@pytest.mark.parametrize("bad", ["yes", "1.0", "", "1,x,0"])
+def test_read_predictions_rejects_a_non_integer_label(tmp_path, bad):
+    path = tmp_path / "preds.tsv"
+    path.write_text(f"p1\t1\np2\t{bad}\n", encoding="utf-8")
+    with pytest.raises(ContractError, match=r"preds\.tsv: line 2: label"):
+        read_predictions(path)
+
+
+@pytest.mark.parametrize("rows", [["1", "0,1,0,0,0,0,0"], ["0,1,0,0,0,0,0", "1"]])
+def test_read_predictions_rejects_mixed_label_kinds(tmp_path, rows):
+    path = tmp_path / "preds.tsv"
+    path.write_text(f"p1\t{rows[0]}\np2\t{rows[1]}\n", encoding="utf-8")
+    with pytest.raises(ContractError, match=r"preds\.tsv: line 2: mixes"):
+        read_predictions(path)
