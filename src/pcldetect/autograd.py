@@ -330,26 +330,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(a.values.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.values <= 0.0):
-        raise NumericsError("log requires strictly positive inputs")
-
-    def bwd(g):
-        return (g / a.values,)
-
-    return _make(np.log(a.values), (a,), bwd)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values into [lo, hi]; gradient passes only where unclipped."""
-    mask = (a.values >= lo) & (a.values <= hi)
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _make(np.clip(a.values, lo, hi), (a,), bwd)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     def bwd(g):
         return (g.reshape(a.shape),)
@@ -388,14 +368,29 @@ def select(a: Tensor, index, axis: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def check_finite(x: Tensor, op: str) -> np.ndarray:
+    """The values of `x`; raises NumericsError, naming `op`, if any is not finite."""
+    if not np.all(np.isfinite(x.values)):
+        raise NumericsError(f"{op} received non-finite input")
+    return x.values
+
+
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function that takes exp of non-positive values only."""
+    y = np.empty_like(v)
+    pos = v >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    y[~pos] = ev / (1.0 + ev)
+    return y
+
+
 def softmax(x: Tensor) -> Tensor:
     """Stable softmax over the trailing axis; rejects non-finite input."""
     if x.shape[-1] < 1:
         raise ShapeError("softmax needs a non-empty trailing axis")
-    if not np.all(np.isfinite(x.values)):
-        raise NumericsError("softmax received non-finite input")
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    v = check_finite(x, "softmax")
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
@@ -406,17 +401,49 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    v = x.values
-    y = np.empty_like(v)
-    pos = v >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    y[~pos] = ev / (1.0 + ev)
+    y = _sigmoid(x.values)
 
     def bwd(g):
         return (g * y * (1.0 - y),)
 
     return _make(y, (x,), bwd)
+
+
+def cross_entropy(z: Tensor, golds) -> Tensor:
+    """Mean over the batch of -log softmax(z)[gold], as one node.
+
+    `z` is (batch, classes) logits, `golds` class indices. The loss is
+    log-sum-exp minus the gold logit, the gradient (softmax(z) - onehot) /
+    batch. Rejects non-finite logits.
+    """
+    v = check_finite(z, "cross_entropy")
+    rows, idx = np.arange(v.shape[0]), np.asarray(golds, dtype=np.intp)
+    top = v.max(axis=-1, keepdims=True)
+    e = np.exp(v - top)
+    total = e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        grad = e / total
+        grad[rows, idx] -= 1.0
+        return (grad * (g / v.shape[0]),)
+
+    return _make(((top[:, 0] - v[rows, idx]) + np.log(total[:, 0])).mean(), (z,), bwd)
+
+
+def bce_with_logits(z: Tensor, y) -> Tensor:
+    """Binary cross-entropy of (batch, classes) logits against 0/1 targets.
+
+    One node: log(1 + e^z) - y z per element, summed over classes and
+    averaged over the batch; the gradient is (sigmoid(z) - y) / batch.
+    Rejects non-finite logits.
+    """
+    v = check_finite(z, "bce_with_logits")
+    y = np.asarray(y, dtype=np.float64)
+
+    def bwd(g):
+        return ((_sigmoid(v) - y) * (g / v.shape[0]),)
+
+    return _make((np.logaddexp(0.0, v) - y * v).sum(axis=-1).mean(), (z,), bwd)
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .data import NUM_CATEGORIES
 from .errors import ConfigError, ContractError
 from .files import atomic_open
 
@@ -101,7 +102,8 @@ def read_predictions(path):
     """Parse a prediction file into (par_ids, labels); detects bit vectors.
 
     A par_id may occur once: a repeat would leave its label ambiguous. Every
-    label is an integer or a tuple of integers, all of one kind.
+    label is 0 or 1, or NUM_CATEGORIES comma-separated 0/1 bits, all of one
+    kind.
     """
     par_ids, labels, seen = [], [], set()
     with open(path, encoding="utf-8") as fh:
@@ -119,12 +121,15 @@ def read_predictions(path):
                 raise ContractError(f"{path}: line {lineno}: duplicate par_id {pid!r}")
             seen.add(pid)
             try:
-                label = tuple(int(b) for b in lab.split(",")) if "," in lab else int(lab)
+                bits = tuple(int(b) for b in lab.split(","))
             except ValueError:
+                bits = ()
+            if len(bits) not in (1, NUM_CATEGORIES) or not set(bits) <= {0, 1}:
                 raise ContractError(
-                    f"{path}: line {lineno}: label {lab!r} is neither an integer "
-                    "nor comma-separated integers"
-                ) from None
+                    f"{path}: line {lineno}: label {lab!r} is neither 0/1 nor "
+                    f"{NUM_CATEGORIES} comma-separated 0/1 bits"
+                )
+            label = bits if len(bits) > 1 else bits[0]
             if labels and is_bit_vector(label) != is_bit_vector(labels[0]):
                 raise ContractError(f"{path}: line {lineno}: mixes plain labels and bit vectors")
             par_ids.append(pid)

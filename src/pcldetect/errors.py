@@ -14,7 +14,7 @@ class ShapeError(PcldetectError, ValueError):
 
 
 class NumericsError(PcldetectError, ValueError):
-    """Input values are outside the numeric domain (non-finite, log of <= 0)."""
+    """Input values are outside the numeric domain (non-finite logits or scores)."""
 
 
 class GatherError(PcldetectError, IndexError):

@@ -21,6 +21,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tape, backward, zero_grads
 from .data import (
+    NUM_CATEGORIES,
     FoldAssignment,
     ParagraphRecord,
     Vocabulary,
@@ -49,8 +50,7 @@ from .errors import (
 )
 from .files import atomic_open
 from .heads import (
-    BinaryHeadParams,
-    MultiLabelHeadParams,
+    HeadParams,
     bce_loss,
     binary_forward,
     binary_loss,
@@ -289,10 +289,13 @@ def _dominant_categories(vector_list) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+HEAD_WIDTH = {1: 2, 2: NUM_CATEGORIES}  # classifier logits per subtask
+
+
 @dataclass
 class Model:
     encoder: EncoderParams
-    head: BinaryHeadParams | MultiLabelHeadParams
+    head: HeadParams
     subtask: int
 
     def named(self) -> dict:
@@ -301,28 +304,20 @@ class Model:
         return params
 
     def forward(self, ids, train=False, rng=None):
+        """Class logits of either width (`binary_forward` is `multilabel_forward`)."""
         h = pooler(encode_batch(self.encoder, ids, train=train, rng=rng), self.encoder)
-        if self.subtask == 1:
-            return binary_forward(h, self.head)
-        return multilabel_forward(h, self.head)
+        return binary_forward(h, self.head)
 
-    def loss(self, probs, golds):
-        if self.subtask == 1:
-            return binary_loss(probs, golds)
-        return bce_loss(probs, golds)
+    def loss(self, z, golds):
+        return binary_loss(z, golds) if self.subtask == 1 else bce_loss(z, golds)
 
-    def predict(self, probs) -> np.ndarray:
-        if self.subtask == 1:
-            return predict_binary(probs)
-        return predict_multilabel(probs)
+    def predict(self, z) -> np.ndarray:
+        return predict_binary(z) if self.subtask == 1 else predict_multilabel(z)
 
 
 def build_model(config: RunConfig, vocab_size: int, rng: np.random.Generator) -> Model:
     encoder = EncoderParams.init(config.encoder_config(vocab_size), rng)
-    if config.subtask == 1:
-        head = BinaryHeadParams.init(config.d_model, rng)
-    else:
-        head = MultiLabelHeadParams.init(config.d_model, rng)
+    head = HeadParams.init(config.d_model, HEAD_WIDTH[config.subtask], rng)
     return Model(encoder, head, config.subtask)
 
 
@@ -602,8 +597,7 @@ def train_fold(
                 )
                 try:
                     with Tape():
-                        probs = model.forward(ids, train=True, rng=dropout_rng)
-                        loss = model.loss(probs, golds)
+                        loss = model.loss(model.forward(ids, train=True, rng=dropout_rng), golds)
                         loss_val = loss.item()
                         if not math.isfinite(loss_val):
                             raise NumericsError(f"loss is {loss_val}")
@@ -811,11 +805,13 @@ def load_model(ckpt_path):
     encoder_tensors = {n: t for n, t in params.items() if not n.startswith("classifier.")}
     encoder = EncoderParams(enc_config, encoder_tensors)
     weight, bias = params["classifier.weight"], params["classifier.bias"]
-    subtask = meta["subtask"]
-    head_cls = BinaryHeadParams if subtask == 1 else MultiLabelHeadParams
-    head = head_cls(weight, bias)
+    width, subtask = weight.shape[0], meta["subtask"]
+    if HEAD_WIDTH.get(subtask) != width or bias.shape != (width,):
+        raise ConfigError(
+            f"{ckpt_path}: a {width}-wide classifier does not fit subtask {subtask!r}"
+        )
     vocab = Vocabulary(meta["vocab"])
-    return Model(encoder, head, subtask), vocab, meta
+    return Model(encoder, HeadParams(weight, bias), subtask), vocab, meta
 
 
 def predict_records(ckpt_path, records):

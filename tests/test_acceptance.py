@@ -20,8 +20,7 @@ from pcldetect.data import stratified_kfold
 from pcldetect.encoder import EncoderConfig, EncoderParams, encode_batch, load_checkpoint, pooler
 from pcldetect.ensemble import RunReport, select_top_k, vote_binary, vote_multilabel
 from pcldetect.heads import (
-    BinaryHeadParams,
-    MultiLabelHeadParams,
+    HeadParams,
     bce_loss,
     binary_forward,
     binary_loss,
@@ -31,6 +30,7 @@ from pcldetect.metrics import f1_score, macro_average, macro_f1, prf1_positive
 from pcldetect.optim import ScheduleState, build_grouped_llrd, cosine_warmup_multiplier
 from pcldetect.sampler import draw_epoch, wrs_weights
 from pcldetect.trainer import (
+    HEAD_WIDTH,
     RunConfig,
     load_training_data,
     make_folds,
@@ -96,10 +96,11 @@ def _primitive_checks(rng):
         ag.mul(ag.add(c, d), ag.sub(c, d)), 0.7
     ).sum(), [c, d]
 
-    p = Tensor(rng.uniform(0.05, 0.95, size=(5, 3)), requires_grad=True)
-    yield "log/clip/select", lambda: ag.scale(
-        ag.log(ag.clip(ag.select(p, 1, axis=-1), 1e-12, 1 - 1e-12)).mean(), -1.0
-    ).sum(), [p]
+    # logits from 15 uniform draws; the tiny models below are drawn after them
+    z = Tensor(8.0 * rng.uniform(0.05, 0.95, size=(5, 3)) - 4.0, requires_grad=True)
+    yield "cross_entropy", lambda: ag.cross_entropy(z, [1, 0, 2, 1, 0]), [z]
+    bits = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 0], [1, 0, 1]])
+    yield "bce_with_logits", lambda: ag.bce_with_logits(z, bits), [z]
 
     e = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     mix3 = ag.constant(rng.normal(size=(4, 6)))
@@ -114,8 +115,7 @@ def _tiny_model(subtask, rng):
         max_len=8, dropout_rate=0.0,
     )
     params = EncoderParams.init(config, rng)
-    head_cls = BinaryHeadParams if subtask == 1 else MultiLabelHeadParams
-    return params, head_cls.init(config.d_model, rng)
+    return params, HeadParams.init(config.d_model, HEAD_WIDTH[subtask], rng)
 
 
 def test_acceptance_gradient_suite():

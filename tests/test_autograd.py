@@ -310,13 +310,6 @@ def test_gradients_accumulate_across_shared_use():
     assert np.array_equal(w.grad, [5.0])  # 1 + 2w
 
 
-def test_clip_blocks_gradient_outside_range():
-    x = Tensor([0.5, 2.0, -1.0], requires_grad=True)
-    with Tape():
-        backward(ag.clip(x, 0.0, 1.0).sum())
-    assert np.array_equal(x.grad, [1.0, 0.0, 0.0])
-
-
 def test_select_and_transpose_gradients():
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
@@ -324,11 +317,6 @@ def test_select_and_transpose_gradients():
         lambda: ag.select(ag.transpose(x, (1, 0, 2)), 2, axis=0).sum(), [x]
     )
     assert err < 1e-6
-
-
-def test_log_rejects_non_positive():
-    with pytest.raises(NumericsError):
-        ag.log(Tensor([1.0, 0.0]))
 
 
 def test_forward_and_gradients_are_deterministic():
@@ -387,8 +375,6 @@ def test_composition_gradcheck_random_pipeline():
     def loss():
         h = ag.gelu(ag.add(ag.matmul(x, w1), b1))
         h = ag.layer_norm(h, gain, bias)
-        p = ag.softmax(ag.matmul(h, w2))
-        picked = ag.clip(ag.select(p, 1, axis=-1), 1e-12, 1 - 1e-12)
-        return ag.scale(ag.log(picked).mean(), -1.0)
+        return ag.cross_entropy(ag.matmul(h, w2), [1, 0, 1, 1])
 
     assert check_gradients(loss, params) < 1e-4

@@ -276,6 +276,24 @@ def test_ensemble_refuses_a_non_integer_label(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_refuses_plain_labels_other_than_0_or_1(tmp_path, capsys):
+    gold = _write_rows(tmp_path / "gold.tsv", ["p1\t1", "p2\t0"])
+    pred = _write_rows(tmp_path / "preds.tsv", ["p1\t2", "p2\t7"])
+    code = main(["evaluate", "--gold", gold, "--pred", pred, "--subtask", "1"])
+    assert code == 1
+    assert "preds.tsv: line 1: label '2'" in _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_ensemble_refuses_plain_labels_other_than_0_or_1(tmp_path, capsys):
+    a = _write_rows(tmp_path / "a.tsv", ["p1\t5", "p2\t-3"])
+    out = tmp_path / "fused.tsv"
+    code = main(["ensemble", "--preds", a, a, a, "--out", str(out)])
+    assert code == 1
+    assert "a.tsv: line 1: label '5'" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_evaluate_subtask2_refuses_plain_labels(tmp_path, capsys):
     records = synthetic_category_records(n=10, seed=2)
     gold = tmp_path / "cats.tsv"

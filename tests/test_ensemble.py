@@ -134,7 +134,12 @@ def test_read_predictions_rejects_bad_lines(tmp_path):
         read_predictions(path)
 
 
-@pytest.mark.parametrize("bad", ["yes", "1.0", "", "1,x,0"])
+@pytest.mark.parametrize("bad", [
+    "yes", "1.0", "", "1,x,0",
+    # integers, but not labels: plain labels other than 0/1, and bit vectors
+    # of the wrong width or with a bit other than 0/1
+    "2", "-3", "7", "1,0,1", "1,0,0,0,0,0,0,0", "0,1,0,0,0,0,2", "0,-1,0,0,0,0,0",
+])
 def test_read_predictions_rejects_a_non_integer_label(tmp_path, bad):
     path = tmp_path / "preds.tsv"
     path.write_text(f"p1\t1\np2\t{bad}\n", encoding="utf-8")

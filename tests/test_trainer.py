@@ -24,6 +24,7 @@ from pcldetect.errors import (
     PcldetectError,
     TrainingDivergedError,
 )
+from pcldetect.heads import HeadParams
 from pcldetect.trainer import (
     RunConfig,
     build_model,
@@ -276,7 +277,8 @@ def test_fold_seed_controls_assignment(small_corpus):
 
 
 def test_training_step_tape_budget():
-    # the s1 recipe's shape: one step records at most 100 tape nodes
+    # the s1 recipe's shape: one step records 72 tape nodes, of which the head
+    # and loss are three (transpose, linear, cross_entropy)
     config = RunConfig(d_model=64, n_heads=4, n_layers=6, d_ff=256, max_len=64, dropout=0.4)
     model = build_model(config, 53, np.random.default_rng(0))
     rows = np.random.default_rng(1).integers(6, 53, size=(4, 31))
@@ -285,7 +287,7 @@ def test_training_step_tape_budget():
         loss = model.loss(model.forward(ids, train=True, rng=np.random.default_rng(2)),
                           [0, 1, 0, 0])
         backward(loss)
-    assert len(tape) <= 100
+    assert len(tape) == 72
 
 
 def _mixed_label_model(small_corpus, subtask):
@@ -396,6 +398,26 @@ def test_numerics_error_in_a_helper_batch_reaches_the_caller(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: attention scores") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subtask, width", [(1, 7), (2, 2), (1, 3), (2, 3)])
+def test_predict_refuses_a_head_whose_width_does_not_fit_the_subtask(
+    small_corpus, tmp_path, capsys, subtask, width
+):
+    config = tiny_config(small_corpus)
+    data = load_training_data(config)
+    model = build_model(config, len(data.vocab), np.random.default_rng(3))
+    model.head = HeadParams.init(config.d_model, width, np.random.default_rng(4))
+    ckpt, out = tmp_path / "doctored.npz", tmp_path / "out.tsv"
+    save_checkpoint(ckpt, model.encoder.config, model.named(),
+                    {"subtask": subtask, "vocab": data.vocab.tokens})
+    code = main(["predict", "--checkpoint", str(ckpt), "--data", str(small_corpus),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert f"a {width}-wide classifier does not fit subtask {subtask}" in err
     assert not out.exists()
 
 
