@@ -9,7 +9,7 @@ import os
 import sys
 from pathlib import Path
 
-from .data import load_subtask1_tsv, load_subtask2_labels, binarize_label
+from .data import binarize_label, load_subtask1_tsv, load_subtask2_labels, text_lines
 from .ensemble import (
     is_bit_vector,
     read_predictions,
@@ -152,6 +152,8 @@ def _load_records(path: str, input_format: str):
 
 
 def _cmd_predict(args) -> int:
+    if Path(args.out).is_dir():
+        raise ConfigError(f"--out {args.out} is a directory")
     records = _load_records(args.data, args.input_format)
     if not records:
         raise ContractError(f"{args.data}: no paragraphs to predict")
@@ -188,12 +190,7 @@ def _cmd_ensemble(args) -> int:
 def _labels_by_par_id(path: str, subtask: int) -> dict:
     """Gold or prediction labels keyed by par_id; accepts either file format."""
     path = _resolve(path)
-    with open(path, encoding="utf-8") as fh:
-        first = ""
-        for line in fh:
-            if line.strip():
-                first = line.rstrip("\n")
-                break
+    first = next((line for _, line in text_lines(path) if line.strip()), "")
     if first.count("\t") == 5:  # full labeled TSV rather than a prediction file
         if subtask == 1:
             records = load_subtask1_tsv(path)
@@ -289,7 +286,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (PcldetectError, FileNotFoundError) as exc:
+    except (PcldetectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

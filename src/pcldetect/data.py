@@ -96,17 +96,14 @@ class Vocabulary:
     unk_id = property(lambda self: 3)
 
     @classmethod
-    def build(cls, texts, min_count: int = 1) -> "Vocabulary":
+    def build(cls, texts) -> "Vocabulary":
         """Collect corpus tokens ordered by descending frequency, then spelling."""
         counts: dict[str, int] = {}
         for text in texts:
             for tok in word_tokens(text):
                 if tok not in RESERVED_TOKENS:
                     counts[tok] = counts.get(tok, 0) + 1
-        body = sorted(
-            (t for t, c in counts.items() if c >= min_count),
-            key=lambda t: (-counts[t], t),
-        )
+        body = sorted(counts, key=lambda t: (-counts[t], t))
         return cls(list(RESERVED_TOKENS) + body)
 
     def encode_token(self, token: str) -> int:
@@ -196,21 +193,28 @@ def stratified_kfold(labels, k: int = 5, seed: int = 0) -> FoldAssignment:
     return FoldAssignment(k, fold_of, tuple(labels))
 
 
-def _read_rows(path, expected_cols: int, has_header: bool):
-    with open(path, encoding="utf-8") as fh:
+def text_lines(path):
+    """Yield (line number, line without its newline); a line not UTF-8 raises ParseError."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1 and has_header:
-                continue
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != expected_cols:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {expected_cols} tab-separated "
-                    f"columns, got {len(cells)}"
-                )
-            yield lineno, cells
+            try:
+                line.encode("utf-8")  # an undecodable byte became a lone surrogate
+            except UnicodeEncodeError:
+                raise ParseError(f"{path}: line {lineno}: not UTF-8 text") from None
+            yield lineno, line.rstrip("\n")
+
+
+def _read_rows(path, expected_cols: int, has_header: bool):
+    for lineno, line in text_lines(path):
+        if not line or (lineno == 1 and has_header):
+            continue
+        cells = line.split("\t")
+        if len(cells) != expected_cols:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {expected_cols} tab-separated "
+                f"columns, got {len(cells)}"
+            )
+        yield lineno, cells
 
 
 def _column_order(columns, default):

@@ -243,14 +243,16 @@ def save_checkpoint(
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (config, named_params, meta)."""
-    with np.load(path) as data:
-        header = json.loads(str(data["header"]))
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {header['version']}")
-        config = EncoderConfig(**header["encoder_config"])
-        params = {
-            key[len("param/"):]: Tensor(data[key], requires_grad=True)
-            for key in data.files
-            if key.startswith("param/")
-        }
-    return config, params, header["meta"]
+    try:
+        with np.load(path) as data:
+            header = json.loads(str(data["header"]))
+            params = {
+                key[len("param/"):]: Tensor(data[key], requires_grad=True)
+                for key in data.files
+                if key.startswith("param/")
+            }
+    except (ValueError, TypeError, KeyError):  # not numpy data, a bare array, no header
+        raise ConfigError(f"{path}: not a pcldetect checkpoint") from None
+    if header["version"] != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {header['version']}")
+    return EncoderConfig(**header["encoder_config"]), params, header["meta"]

@@ -5,12 +5,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .data import NUM_CATEGORIES
+from .data import NUM_CATEGORIES, text_lines
 from .errors import ConfigError, ContractError
 from .files import atomic_open
-
-# conventional seed set for the five training runs feeding top-3 selection
-DEFAULT_SEEDS = (13, 21, 42, 87, 100)
 
 
 @dataclass(frozen=True)
@@ -106,34 +103,32 @@ def read_predictions(path):
     kind.
     """
     par_ids, labels, seen = [], [], set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != 2:
-                raise ContractError(
-                    f"{path}: line {lineno}: expected `par_id<TAB>label`, got {len(cells)} cells"
-                )
-            pid, lab = cells
-            if pid in seen:
-                raise ContractError(f"{path}: line {lineno}: duplicate par_id {pid!r}")
-            seen.add(pid)
-            try:
-                bits = tuple(int(b) for b in lab.split(","))
-            except ValueError:
-                bits = ()
-            if len(bits) not in (1, NUM_CATEGORIES) or not set(bits) <= {0, 1}:
-                raise ContractError(
-                    f"{path}: line {lineno}: label {lab!r} is neither 0/1 nor "
-                    f"{NUM_CATEGORIES} comma-separated 0/1 bits"
-                )
-            label = bits if len(bits) > 1 else bits[0]
-            if labels and is_bit_vector(label) != is_bit_vector(labels[0]):
-                raise ContractError(f"{path}: line {lineno}: mixes plain labels and bit vectors")
-            par_ids.append(pid)
-            labels.append(label)
+    for lineno, line in text_lines(path):
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != 2:
+            raise ContractError(
+                f"{path}: line {lineno}: expected `par_id<TAB>label`, got {len(cells)} cells"
+            )
+        pid, lab = cells
+        if pid in seen:
+            raise ContractError(f"{path}: line {lineno}: duplicate par_id {pid!r}")
+        seen.add(pid)
+        try:
+            bits = tuple(int(b) for b in lab.split(","))
+        except ValueError:
+            bits = ()
+        if len(bits) not in (1, NUM_CATEGORIES) or not set(bits) <= {0, 1}:
+            raise ContractError(
+                f"{path}: line {lineno}: label {lab!r} is neither 0/1 nor "
+                f"{NUM_CATEGORIES} comma-separated 0/1 bits"
+            )
+        label = bits if len(bits) > 1 else bits[0]
+        if labels and is_bit_vector(label) != is_bit_vector(labels[0]):
+            raise ContractError(f"{path}: line {lineno}: mixes plain labels and bit vectors")
+        par_ids.append(pid)
+        labels.append(label)
     return par_ids, labels
 
 

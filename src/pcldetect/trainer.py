@@ -31,6 +31,7 @@ from .data import (
     load_subtask2_labels,
     pad_batch,
     stratified_kfold,
+    text_lines,
     tokenize,
 )
 from .encoder import (
@@ -174,15 +175,14 @@ class RunConfig:
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
         """Read key=value lines ('#' comments allowed); overrides win."""
         values: dict = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}: line {lineno}: expected key=value")
-                key, raw = (s.strip() for s in line.split("=", 1))
-                values[key] = raw
+        for lineno, line in text_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}: line {lineno}: expected key=value")
+            key, raw = (s.strip() for s in line.split("=", 1))
+            values[key] = raw
         if overrides:
             values.update(overrides)
         return cls.from_mapping(values)
@@ -516,6 +516,69 @@ def _batch_golds(data: TrainingData, idx, subtask: int):
     return data.label_vectors[idx]
 
 
+class _Evaluation:
+    """A fold's validation passes: history, best snapshot, patience and fork gate.
+
+    Once the first evaluation, timed in process, took over FORK_MIN_EVAL_S on
+    two or more cores, each that cannot end the fold runs in a `_ChildEval`
+    while training goes on, recorded before the next starts or the epoch ends.
+    """
+
+    def __init__(self, model: Model, data: TrainingData, val_idx, patience: int, dropout_rng):
+        self.model, self.data, self.val_idx = model, data, val_idx
+        self.patience, self.dropout_rng = patience, dropout_rng
+        self.history: list = []  # [(step, metric), ...]
+        self.best, self.best_step, self.snapshot, self.since_improved = -math.inf, -1, None, 0
+        self.fork = None  # whether evaluations may fork; None until the first is timed
+        self.pending = None  # (step, snapshot at that step, _ChildEval)
+
+    @property
+    def stopped(self) -> bool:
+        return self.since_improved >= self.patience
+
+    def run(self, step: int, last_of_epoch: bool) -> None:
+        """Evaluate the model as trained to `step`. An epoch's last evaluation (so
+        the fold's last), and one that could spend patience, run in process."""
+        self.settle()
+        decisive = last_of_epoch or self.since_improved + 1 >= self.patience
+        # a fork copies only the calling thread
+        if self.fork and not decisive and threading.active_count() == 1:
+            self.pending = (step, self._snapshot(step),
+                            _ChildEval(self.model, self.data, self.val_idx))
+            return
+        t0 = time.perf_counter()
+        metric = eval_metric(self.model, self.data, self.val_idx)
+        if self.fork is None:
+            self.fork = (hasattr(os, "fork") and _cores() >= 2
+                         and time.perf_counter() - t0 > FORK_MIN_EVAL_S)
+        self._record(step, metric)
+
+    def settle(self) -> None:
+        """Record the pending child's evaluation, waiting for it if need be."""
+        if self.pending is not None:
+            (step, snapshot, child), self.pending = self.pending, None
+            self._record(step, child.result(), snapshot)
+
+    def close(self) -> None:
+        """Kill a child still evaluating because training raised."""
+        if self.pending is not None:
+            self.pending[2].close()
+
+    def _snapshot(self, step: int):
+        values = {name: t.values.copy() for name, t in self.model.named().items()}
+        return values, {"dropout": self.dropout_rng.bit_generator.state, "step": step}
+
+    def _record(self, step: int, metric: float, snapshot=None) -> None:
+        """The one place an evaluation is recorded; no `snapshot` means take one now."""
+        self.history.append((step, metric))
+        if metric > self.best:
+            self.best, self.best_step = metric, step
+            self.snapshot = snapshot or self._snapshot(step)
+            self.since_improved = 0
+        else:
+            self.since_improved += 1
+
+
 def train_fold(
     config: RunConfig,
     data: TrainingData,
@@ -549,41 +612,8 @@ def train_fold(
     pad = data.vocab.pad_id
 
     step = 0
-    best = -math.inf
-    best_step = -1
-    evals_since_improve = 0
-    stopped_early = False
-    history: list = []
     losses: list = []
-    snapshot = None
-
-    # None until the first evaluation has been timed; then whether later
-    # evaluations may run in a forked child
-    fork_evals = None
-    pending = None  # (step, snapshot at that step, _ChildEval)
-
-    def take_snapshot():
-        return (
-            {name: t.values.copy() for name, t in named.items()},
-            {"dropout": dropout_rng.bit_generator.state, "step": step},
-        )
-
-    def record(at, metric, candidate):
-        nonlocal best, best_step, snapshot, evals_since_improve
-        history.append((at, metric))
-        if metric > best:
-            best, best_step, snapshot = metric, at, candidate()
-            evals_since_improve = 0
-        else:
-            evals_since_improve += 1
-
-    def settle():
-        """Record the pending child's evaluation, waiting for it if need be."""
-        nonlocal pending
-        if pending is not None:
-            (at, candidate, child), pending = pending, None
-            record(at, child.result(), lambda: candidate)
-
+    evaluation = _Evaluation(model, data, val_idx, config.patience_rounds, dropout_rng)
     try:
         for epoch in range(config.epochs):
             order = _epoch_order(config, data, train_idx, epoch, order_seeds)
@@ -613,48 +643,32 @@ def train_fold(
                 losses.append(loss_val)
 
                 if step % config.eval_every_batches == 0:
-                    settle()
-                    # an epoch's last evaluation (so the fold's last), and any
-                    # that could end the fold, run here
-                    decisive = (b == batches_per_epoch - 1
-                                or evals_since_improve + 1 >= config.patience_rounds)
-                    # a fork copies only the calling thread
-                    if fork_evals and not decisive and threading.active_count() == 1:
-                        pending = (step, take_snapshot(), _ChildEval(model, data, val_idx))
-                    else:
-                        t0 = time.perf_counter()
-                        metric = eval_metric(model, data, val_idx)
-                        if fork_evals is None:
-                            fork_evals = (hasattr(os, "fork") and _cores() >= 2
-                                          and time.perf_counter() - t0 > FORK_MIN_EVAL_S)
-                        record(step, metric, take_snapshot)
-                        if evals_since_improve >= config.patience_rounds:
-                            stopped_early = True
-                            break
-            settle()
+                    evaluation.run(step, last_of_epoch=b == batches_per_epoch - 1)
+                    if evaluation.stopped:
+                        break
+            evaluation.settle()
             logger.info(
                 "fold %d epoch %d done: step %d, loss %.4f, best %.4f",
-                fold, epoch, step, losses[-1], best if history else float("nan"),
+                fold, epoch, step, losses[-1], evaluation.best if evaluation.history else math.nan,
             )
-            if stopped_early:
+            if evaluation.stopped:
                 break
+        if evaluation.snapshot is None:  # training was shorter than one evaluation interval
+            evaluation.run(step, last_of_epoch=True)
     finally:
-        if pending is not None:  # training raised while a child was evaluating
-            pending[2].close()
-
-    if snapshot is None:  # training was shorter than one evaluation interval
-        record(step, eval_metric(model, data, val_idx), take_snapshot)
+        evaluation.close()
 
     ckpt_path = run_dir / f"fold{fold}.npz"
-    _write_checkpoint(ckpt_path, config, data, optimizer.groups, snapshot, fold, total_steps)
+    _write_checkpoint(ckpt_path, config, data, optimizer.groups, evaluation.snapshot, fold,
+                      total_steps)
     return FoldOutcome(
         fold=fold,
-        best_metric=best,
-        best_step=best_step,
+        best_metric=evaluation.best,
+        best_step=evaluation.best_step,
         steps_taken=step,
         planned_steps=total_steps,
-        stopped_early=stopped_early,
-        history=history,
+        stopped_early=evaluation.stopped,
+        history=evaluation.history,
         losses=losses,
         checkpoint_path=str(ckpt_path),
         wall_clock=time.monotonic() - started,

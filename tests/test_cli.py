@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pcldetect.cli import main
@@ -321,3 +322,37 @@ def test_sweep_refuses_a_bad_grid_value_before_training(corpus, tmp_path, capsys
     assert code == 1
     assert f"--grid value {grid.split(',')[-1]!r}" in _one_line_error(capsys)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("predict --checkpoint {missing} --data {corpus} --out {dir}", "--out {dir} is a directory"),
+    ("predict --checkpoint {corpus} --data {corpus} --out {out}",
+     "{corpus}: not a pcldetect checkpoint"),
+    ("predict --checkpoint {array} --data {corpus} --out {out}",
+     "{array}: not a pcldetect checkpoint"),
+    ("predict --checkpoint {dir} --data {corpus} --out {out}", "Is a directory: '{dir}'"),
+    ("train --data {dir} --out-dir {run}", "Is a directory: '{dir}'"),
+    ("train --config {dir} --out-dir {run}", "Is a directory: '{dir}'"),
+    ("train --data {latin1} --out-dir {run}", "{latin1}: line 2: not UTF-8 text"),
+    ("evaluate --gold {corpus} --pred {latin1_preds}", "{latin1_preds}: line 2: not UTF-8 text"),
+    ("ensemble --preds {latin1_preds} {latin1_preds} {latin1_preds} --out {out}",
+     "{latin1_preds}: line 2: not UTF-8 text"),
+    ("train --data {corpus} --out-dir {file}", "File exists: '{file}'"),
+], ids=["predict-out-dir", "predict-checkpoint-tsv", "predict-checkpoint-npy", "checkpoint-dir",
+        "data-dir", "config-dir", "data-not-utf8", "evaluate-not-utf8", "ensemble-not-utf8",
+        "out-dir-is-a-file"])
+def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_path, capsys,
+                                                                 argv, message):
+    paths = {name: tmp_path / name for name in
+             ("missing", "dir", "out", "run", "latin1", "latin1_preds", "file")}
+    paths["corpus"], paths["array"] = corpus, tmp_path / "array.npy"
+    np.save(paths["array"], np.zeros(3))
+    paths["dir"].mkdir()
+    paths["file"].write_text("not a directory\n", encoding="utf-8")
+    first_row = corpus.read_bytes().splitlines(keepends=True)[0]
+    paths["latin1"].write_bytes(first_row + b"p9\ta9\tkw\tgb\tcaf\xe9 au lait\t0\n")
+    paths["latin1_preds"].write_bytes(b"p1\t1\np\xe9\t0\n")
+    code = main([arg.format(**paths) for arg in argv.split()])
+    assert code == 1
+    assert message.format(**paths) in _one_line_error(capsys)
+    assert not paths["out"].exists() and not paths["run"].exists()

@@ -16,7 +16,7 @@ from pcldetect import trainer
 from pcldetect.autograd import Tape, backward
 from pcldetect.cli import main
 from pcldetect.data import pad_batch
-from pcldetect.encoder import encode_batch, pooler, save_checkpoint
+from pcldetect.encoder import encode_batch, load_checkpoint, pooler, save_checkpoint
 from pcldetect.errors import (
     ConfigError,
     ContractError,
@@ -132,6 +132,11 @@ def test_step_count_matches_loop_arithmetic(small_corpus, tmp_path):
     assert outcome.steps_taken == outcome.planned_steps
     assert not outcome.stopped_early
     assert len(outcome.losses) == outcome.steps_taken
+    # no evaluation fell due, so the fold's only one ran after the last step
+    assert outcome.history == [(outcome.steps_taken, outcome.best_metric)]
+    assert outcome.best_step == outcome.steps_taken
+    _, _, meta = load_checkpoint(outcome.checkpoint_path)
+    assert meta["schedule"]["snapshot_step"] == outcome.steps_taken
 
 
 def test_early_stopping_cuts_run_short(small_corpus, tmp_path):
