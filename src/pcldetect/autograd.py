@@ -246,51 +246,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _affine_param_grads(x: np.ndarray, g: np.ndarray):
     """Weight and bias gradients of `x @ w + b` for output gradient `g`.
 
-    One GEMM per leading index, then a sum over the leading axes: the order
-    in which the matmul-then-add composition sums.
+    The leading axes are flattened, so the weight gradient is one 2-d GEMM.
     """
-    if x.ndim == 1:
-        x, g = x[None, :], g[None, :]
-    gw = x.swapaxes(-1, -2) @ g
-    if gw.ndim > 2:
-        gw = gw.sum(axis=tuple(range(gw.ndim - 2)))
-    return gw, g.sum(axis=tuple(range(g.ndim - 1)))
-
-
-def _matmul(a: np.ndarray, m: np.ndarray, few_rows: bool = False) -> np.ndarray:
-    """`a @ m` for a stack of rows `a` and a 2-d `m`.
-
-    `few_rows` marks a product over a few of the rows that the unfused
-    composition multiplies. It is computed as one 2-d GEMM with a C-ordered
-    `m`, which gives each row the bits a taller product gives it; as given,
-    BLAS would send one-row products to gemv and small products with a
-    transposed operand to other kernels, which sum in other orders.
-    """
-    if not few_rows:
-        return a @ m
-    m = np.ascontiguousarray(m)
-    return (a.reshape(-1, a.shape[-1]) @ m).reshape(a.shape[:-1] + m.shape[1:])
+    g2 = g.reshape(-1, g.shape[-1])
+    return x.reshape(-1, x.shape[-1]).T @ g2, g2.sum(axis=0)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map `x @ w + b` over the trailing axis, recorded as one node.
 
-    `x` is (..., d_in), `w` (d_in, d_out) and `b` (d_out,). A stack of
-    one-row matrices, such as the encoder's [CLS]-only last layer, is
-    multiplied as the `few_rows` case of `_matmul`.
+    `x` is (..., d_in), `w` (d_in, d_out) and `b` (d_out,). The rows of `x`
+    are multiplied as one 2-d GEMM, forward and backward.
     """
     if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
         raise ShapeError(
             "linear needs x (..., d_in), w (d_in, d_out) and b (d_out,); "
             f"got {x.shape}, {w.shape} and {b.shape}"
         )
-
-    one_row = x.ndim > 2 and x.shape[-2] == 1
+    d_in, d_out = w.shape
 
     def bwd(g):
-        return (_matmul(g, w.values.T, one_row), *_affine_param_grads(x.values, g))
+        gx = g.reshape(-1, d_out) @ w.values.T
+        return (gx.reshape(x.shape), *_affine_param_grads(x.values, g))
 
-    return _make(_matmul(x.values, w.values, one_row) + b.values, (x, w, b), bwd)
+    y = x.values.reshape(-1, d_in) @ w.values + b.values
+    return _make(y.reshape(x.shape[:-1] + (d_out,)), (x, w, b), bwd)
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -537,9 +517,7 @@ def dropout(x: Tensor, rate: float, train: bool, rng=None, draw_shape=None) -> T
 def _merge_heads(t: np.ndarray) -> np.ndarray:
     """(batch, heads, rows, d_head) -> (batch, rows, heads * d_head)."""
     b, h, r, dh = t.shape
-    # always a C-ordered copy: reductions over a strided view sum in
-    # another order
-    return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(b, r, h * dh)
+    return t.transpose(0, 2, 1, 3).reshape(b, r, h * dh)
 
 
 def self_attention(
@@ -565,12 +543,6 @@ def self_attention(
     full (batch, heads, seq, seq) shape. When `sink` is a list, the
     (batch, heads, n_queries, seq) probabilities before dropout are appended.
     Returns (batch, n_queries, d).
-
-    The arithmetic is that of the composition of matmul, add, reshape,
-    transpose, scale, softmax and dropout, in the same order. With every
-    position a query the results are bit-identical to it; with fewer
-    queries BLAS may still pick other kernels for some shapes, which
-    changes the last bits.
     """
     (wq, bq), (wk, bk), (wv, bv), (wo, bo) = weights
     bsz, s, d = x.shape
@@ -579,13 +551,10 @@ def self_attention(
     if key_bias.shape != (bsz, s):
         raise ShapeError(f"key_bias must be {(bsz, s)}, got {key_bias.shape}")
     nq = s if n_queries is None else n_queries
-    # at least two query rows: BLAS computes one-row products with gemv,
-    # which sums in another order than the full product's gemm
-    rows = min(max(nq, 2), s)
     h, dh = n_heads, d // n_heads
     scale = 1.0 / np.sqrt(dh)
     xv = x.values
-    xq = xv[:, :rows]
+    xq = xv[:, :nq]
 
     def split(t):
         return t.reshape(bsz, -1, h, dh).transpose(0, 2, 1, 3)
@@ -597,17 +566,15 @@ def self_attention(
     if not np.all(np.isfinite(z)):
         raise NumericsError("attention scores are non-finite")
     e = np.exp(z - z.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)  # (b, h, rows, s)
+    p = e / e.sum(axis=-1, keepdims=True)  # (b, h, nq, s)
     if sink is not None:
-        sink.append(p[:, :, :nq].copy())
+        sink.append(p.copy())
     mask = _dropout_mask(p.shape, rate, train, rng, draw_shape=(bsz, h, s, s))
     pd = p if mask is None else p * mask
-    ctx = _merge_heads(pd @ v)  # (b, rows, d)
+    ctx = _merge_heads(pd @ v)  # (b, nq, d)
 
     def bwd(g):
-        if rows > nq:
-            g = np.concatenate([g, np.zeros((bsz, rows - nq, d))], axis=1)
-        dctx = split(_matmul(g, wo.values.T, rows < s))
+        dctx = split(g @ wo.values.T)
         dp = dctx @ v.transpose(0, 1, 3, 2)
         dv = _merge_heads(pd.transpose(0, 1, 3, 2) @ dctx)
         if mask is not None:
@@ -615,18 +582,16 @@ def self_attention(
         dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
         dq = _merge_heads(dz @ k)
         dk = _merge_heads((q.transpose(0, 1, 3, 2) @ dz).transpose(0, 1, 3, 2))
-        dxq = _matmul(dq, wq.values.T, rows < s)
-        if rows < s:
-            dxq = np.concatenate([dxq, np.zeros((bsz, s - rows, d))], axis=1)
-        # x feeds three projections: one gradient each, accumulated v, k, q
-        # like the unfused composition's reverse replay
+        dx = dv @ wv.values.T
+        dx += dk @ wk.values.T
+        dx[:, :nq] += dq @ wq.values.T
         return (
-            dv @ wv.values.T, dk @ wk.values.T, dxq,
+            dx,
             *_affine_param_grads(xq, dq),
             *_affine_param_grads(xv, dk),
             *_affine_param_grads(xv, dv),
             *_affine_param_grads(ctx, g),
         )
 
-    out = (ctx @ wo.values + bo.values)[:, :nq]
-    return _make(out, (x, x, x, wq, bq, wk, bk, wv, bv, wo, bo), bwd)
+    out = ctx @ wo.values + bo.values
+    return _make(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), bwd)

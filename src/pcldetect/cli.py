@@ -151,9 +151,17 @@ def _load_records(path: str, input_format: str):
     return load_subtask1_tsv(path)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out that is a directory or whose directory is missing."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"--out {path}: {out.parent} is not an existing directory")
+
+
 def _cmd_predict(args) -> int:
-    if Path(args.out).is_dir():
-        raise ConfigError(f"--out {args.out} is a directory")
+    _check_out(args.out)
     records = _load_records(args.data, args.input_format)
     if not records:
         raise ContractError(f"{args.data}: no paragraphs to predict")
@@ -164,6 +172,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
+    _check_out(args.out)
     paths = []
     for chunk in args.preds:
         paths.extend(p for p in chunk.split(",") if p)

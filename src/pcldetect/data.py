@@ -145,9 +145,7 @@ def pad_batch(sequences, pad_id: int = 0) -> np.ndarray:
 class FoldAssignment:
     """Per-example fold indices for stratified cross-validation."""
 
-    k: int
     fold_of: np.ndarray
-    strat_labels: tuple
 
     def split(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
         """(train indices, validation indices) for one fold."""
@@ -190,7 +188,7 @@ def stratified_kfold(labels, k: int = 5, seed: int = 0) -> FoldAssignment:
             fold_of[idx[start : start + quota[fold]]] = fold
             start += quota[fold]
         totals += quota
-    return FoldAssignment(k, fold_of, tuple(labels))
+    return FoldAssignment(fold_of)
 
 
 def text_lines(path):

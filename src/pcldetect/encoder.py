@@ -8,7 +8,7 @@ feed-forward layers, and a tanh pooler over the leading ([CLS]) position.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,16 +50,7 @@ class EncoderConfig:
             raise ConfigError("dropout_rate must be in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "d_ff": self.d_ff,
-            "max_len": self.max_len,
-            "dropout_rate": self.dropout_rate,
-            "pad_id": self.pad_id,
-        }
+        return asdict(self)
 
 
 class EncoderParams:

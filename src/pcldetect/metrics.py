@@ -82,11 +82,6 @@ def format_report(metrics: dict) -> str:
     return "\n".join(f"{k}\t{_fmt(v)}" for k, v in metrics.items())
 
 
-def tsv_row(metrics: dict) -> str:
-    """Single tab-separated row of the metric values, for cross-run aggregation."""
-    return "\t".join(_fmt(v) for v in metrics.values())
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.6f}"

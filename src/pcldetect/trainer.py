@@ -22,6 +22,7 @@ from . import autograd as ag
 from .autograd import Tape, backward, zero_grads
 from .data import (
     NUM_CATEGORIES,
+    RESERVED_TOKENS,
     FoldAssignment,
     ParagraphRecord,
     Vocabulary,
@@ -127,7 +128,6 @@ class RunConfig:
             "k_folds": self.k_folds,
             "eval_every_batches": self.eval_every_batches,
             "patience_rounds": self.patience_rounds,
-            "max_len": self.max_len,
         }
         for name, value in positive.items():
             if value <= 0:
@@ -144,6 +144,7 @@ class RunConfig:
             raise ConfigError(
                 f"cannot split {self.n_layers} layers into {self.groups} groups"
             )
+        self.encoder_config(len(RESERVED_TOKENS))  # the encoder's own shape rules
 
     @property
     def resolved_lambda(self) -> float:

@@ -239,13 +239,19 @@ def test_select_slice_keeps_axis_and_gradient():
     assert check_gradients(lambda: ag.mul(mix, ag.select(x, slice(0, 2), axis=1)).sum(), [x]) < 1e-6
 
 
-def test_linear_matches_matmul_plus_bias_and_gradients():
+@pytest.mark.parametrize("x_shape", [(3, 4, 5), (5,), (3, 1, 5)], ids=["batch", "vector", "one-row"])
+def test_linear_matches_matmul_plus_bias_and_gradients(x_shape):
     rng = np.random.default_rng(6)
-    x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
     w = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
     b = Tensor(rng.normal(size=6), requires_grad=True)
-    assert np.array_equal(ag.linear(x, w, b).values, x.values @ w.values + b.values)
-    mix = constant(rng.normal(size=(3, 4, 6)))
+    got, want = ag.linear(x, w, b).values, x.values @ w.values + b.values
+    assert got.shape == want.shape
+    if x_shape == (3, 4, 5):
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) < 1e-12
+    mix = constant(rng.normal(size=x_shape[:-1] + (6,)))
     assert check_gradients(lambda: ag.mul(mix, ag.linear(x, w, b)).sum(), [x, w, b]) < 1e-6
     with pytest.raises(ShapeError):
         ag.linear(x, Tensor(np.zeros((4, 6))), b)

@@ -206,12 +206,18 @@ def test_kfold_with_a_class_smaller_than_k_fails_cleanly(tmp_path, capsys):
     assert not (out_dir / "vocab.txt").exists()
 
 
-def test_more_groups_than_layers_is_refused_before_writing(corpus, tmp_path, capsys):
+@pytest.mark.parametrize("flags, message", [
+    ("--n-layers 1 --groups 3", "groups"),
+    ("--d-model 30 --n-heads 4", "divisible by n_heads"),
+    ("--dropout 1.5", "dropout_rate must be in [0, 1)"),
+    ("--max-len 2", "max_len must allow"),
+], ids=["groups", "heads", "dropout", "max-len"])
+def test_more_groups_than_layers_is_refused_before_writing(corpus, tmp_path, capsys,
+                                                           flags, message):
     out_dir = tmp_path / "run"
-    code = main(["train", "--data", str(corpus), "--out-dir", str(out_dir),
-                 "--n-layers", "1", "--groups", "3"])
+    code = main(["train", "--data", str(corpus), "--out-dir", str(out_dir), *flags.split()])
     assert code == 1
-    assert "groups" in _one_line_error(capsys)
+    assert message in _one_line_error(capsys)
     assert not (out_dir / "vocab.txt").exists()
 
 
@@ -247,6 +253,21 @@ def test_evaluate_refuses_prediction_ids_absent_from_gold(corpus, tmp_path, caps
 def _write_rows(path, rows):
     path.write_text("".join(f"{row}\n" for row in rows), encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize("command", ["predict", "ensemble"])
+def test_an_out_in_a_missing_directory_is_refused_before_any_work(corpus, tmp_path, capsys,
+                                                                  command):
+    preds = _write_rows(tmp_path / "preds.tsv", ["p1\t1", "p2\t0"])
+    out = tmp_path / "missing" / "out.tsv"
+    argv = {
+        "predict": ["--checkpoint", str(tmp_path / "never-read.npz"), "--data", str(corpus)],
+        "ensemble": ["--preds", preds, preds, preds],
+    }[command]
+    code = main([command, *argv, "--out", str(out)])
+    assert code == 1
+    assert f"--out {out}: {out.parent} is not an existing directory" in _one_line_error(capsys)
+    assert not out.parent.exists()
 
 
 def test_ensemble_refuses_an_empty_prediction_file(tmp_path, capsys):
