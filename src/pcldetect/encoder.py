@@ -8,6 +8,7 @@ feed-forward layers, and a tanh pooler over the leading ([CLS]) position.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -53,11 +54,38 @@ class EncoderConfig:
         return asdict(self)
 
 
+def param_shapes(config: EncoderConfig) -> dict:
+    """Name -> shape of every encoder parameter, in the order `init` draws them."""
+    d, f = config.d_model, config.d_ff
+    shapes = {
+        "embeddings.token": (config.vocab_size, d),
+        "embeddings.position": (config.max_len, d),
+        "embeddings.ln.gain": (d,),
+        "embeddings.ln.bias": (d,),
+    }
+    for i in range(config.n_layers):
+        for proj in ("q", "k", "v", "out"):
+            shapes[f"layer.{i}.attn.{proj}.weight"] = (d, d)
+            shapes[f"layer.{i}.attn.{proj}.bias"] = (d,)
+        shapes[f"layer.{i}.attn.ln.gain"] = (d,)
+        shapes[f"layer.{i}.attn.ln.bias"] = (d,)
+        shapes[f"layer.{i}.ff.in.weight"] = (d, f)
+        shapes[f"layer.{i}.ff.in.bias"] = (f,)
+        shapes[f"layer.{i}.ff.out.weight"] = (f, d)
+        shapes[f"layer.{i}.ff.out.bias"] = (d,)
+        shapes[f"layer.{i}.ff.ln.gain"] = (d,)
+        shapes[f"layer.{i}.ff.ln.bias"] = (d,)
+    shapes["pooler.dense.weight"] = (d, d)
+    shapes["pooler.dense.bias"] = (d,)
+    return shapes
+
+
 class EncoderParams:
     """Named weight tensors for the encoder plus its pooler.
 
-    Names follow a fixed scheme ("embeddings.*", "layer.<i>.*", "pooler.*")
-    that the optimizer's grouping and the checkpoint format key on.
+    Names follow the fixed scheme of `param_shapes` ("embeddings.*",
+    "layer.<i>.*", "pooler.*") that the optimizer's grouping keys on and
+    that a loaded checkpoint is checked against.
     """
 
     def __init__(self, config: EncoderConfig, tensors: dict):
@@ -70,37 +98,18 @@ class EncoderParams:
     @classmethod
     def init(cls, config: EncoderConfig, rng: np.random.Generator) -> "EncoderParams":
         """Fresh parameters: normal(0, 0.02) weights, zero biases, unit gains."""
-        d, f = config.d_model, config.d_ff
-        t = {}
 
-        def w(name, shape):
-            t[name] = Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True)
+        def fresh(name, shape):
+            if name.endswith(".gain"):
+                return np.ones(shape)
+            if name.endswith(".bias"):
+                return np.zeros(shape)
+            return rng.normal(0.0, INIT_STD, size=shape)
 
-        def z(name, shape):
-            t[name] = Tensor(np.zeros(shape), requires_grad=True)
-
-        def ones(name, shape):
-            t[name] = Tensor(np.ones(shape), requires_grad=True)
-
-        w("embeddings.token", (config.vocab_size, d))
-        w("embeddings.position", (config.max_len, d))
-        ones("embeddings.ln.gain", (d,))
-        z("embeddings.ln.bias", (d,))
-        for i in range(config.n_layers):
-            for proj in ("q", "k", "v", "out"):
-                w(f"layer.{i}.attn.{proj}.weight", (d, d))
-                z(f"layer.{i}.attn.{proj}.bias", (d,))
-            ones(f"layer.{i}.attn.ln.gain", (d,))
-            z(f"layer.{i}.attn.ln.bias", (d,))
-            w(f"layer.{i}.ff.in.weight", (d, f))
-            z(f"layer.{i}.ff.in.bias", (f,))
-            w(f"layer.{i}.ff.out.weight", (f, d))
-            z(f"layer.{i}.ff.out.bias", (d,))
-            ones(f"layer.{i}.ff.ln.gain", (d,))
-            z(f"layer.{i}.ff.ln.bias", (d,))
-        w("pooler.dense.weight", (d, d))
-        z("pooler.dense.bias", (d,))
-        return cls(config, t)
+        return cls(config, {
+            name: Tensor(fresh(name, shape), requires_grad=True)
+            for name, shape in param_shapes(config).items()
+        })
 
 
 def _linear(x: Tensor, params: EncoderParams, name: str) -> Tensor:
@@ -204,7 +213,7 @@ def pooler(h: Tensor, params: EncoderParams) -> Tensor:
 # checkpoint format
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(
@@ -217,33 +226,79 @@ def save_checkpoint(
 
     `named_params` maps name -> Tensor for every trainable parameter
     (encoder plus heads). A checkpoint is a best-validation snapshot, not a
-    resume point, so no optimizer state is stored. Uncompressed npz
-    keeps the file bytes a pure function of the content, so equal runs
-    hash identically.
+    resume point, so no optimizer state is stored. The file holds two
+    members: `header`, the sorted JSON header as UTF-8 bytes, and `params`,
+    every parameter flattened into one float64 array in `named_params`
+    order, which the header's `params` index lists as [name, shape].
+    Uncompressed npz keeps the file bytes a pure function of the content,
+    so equal runs hash identically.
     """
-    arrays = {f"param/{n}": t.values for n, t in named_params.items()}
     header = {
         "version": CHECKPOINT_VERSION,
         "encoder_config": config.to_dict(),
         "meta": meta or {},
+        "params": [[name, list(t.shape)] for name, t in named_params.items()],
     }
-    arrays["header"] = np.array(json.dumps(header, sort_keys=True))
+    text = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    flat = np.concatenate([t.values.ravel() for t in named_params.values()])
     with atomic_open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, header=np.frombuffer(text, dtype=np.uint8), params=flat)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (config, named_params, meta)."""
+    """Read a checkpoint; returns (config, named_params, meta).
+
+    Each parameter is a view of the file's one `params` array. The header's
+    index is checked against that array before any parameter is built.
+    """
     try:
         with np.load(path) as data:
-            header = json.loads(str(data["header"]))
-            params = {
-                key[len("param/"):]: Tensor(data[key], requires_grad=True)
-                for key in data.files
-                if key.startswith("param/")
-            }
-    except (ValueError, TypeError, KeyError):  # not numpy data, a bare array, no header
+            raw = data["header"]
+            # a version-2 header is a numpy unicode string, read only to name its version
+            text = str(raw) if raw.dtype.kind == "U" else raw.tobytes().decode("utf-8")
+            header = json.loads(text)
+            version = header["version"]
+            if version == CHECKPOINT_VERSION:
+                flat, config, meta = data["params"], header["encoder_config"], dict(header["meta"])
+    except (ValueError, TypeError, KeyError):  # not numpy data, a bare array, no header or params
         raise ConfigError(f"{path}: not a pcldetect checkpoint") from None
-    if header["version"] != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {header['version']}")
-    return EncoderConfig(**header["encoder_config"]), params, header["meta"]
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(
+            f"{path}: checkpoint version {version}; this pcldetect reads version {CHECKPOINT_VERSION}"
+        )
+    try:
+        config = EncoderConfig(**config)
+    except TypeError:  # not a mapping, a field EncoderConfig lacks or needs, a mistyped value
+        raise ConfigError(f"{path}: checkpoint encoder config {config!r} does not fit") from None
+    params, offset = {}, 0
+    for name, shape in _param_index(path, header.get("params"), flat):
+        size = math.prod(shape)
+        params[name] = Tensor(flat[offset : offset + size].reshape(shape), requires_grad=True)
+        offset += size
+    return config, params, meta
+
+
+def _param_index(path, index, flat) -> list:
+    """The header's [name, shape] list, refused unless it exactly covers `flat`."""
+
+    def bad(why):
+        return ConfigError(f"{path}: checkpoint parameter index {why}")
+
+    if flat.dtype != np.float64 or flat.ndim != 1:
+        raise ConfigError(f"{path}: checkpoint params are {flat.dtype} of shape {flat.shape}, "
+                          "not a 1-d float64 array")
+    if not isinstance(index, list):
+        raise bad("is missing")
+    seen, total = set(), 0
+    for entry in index:
+        name, shape = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(dim) is int and dim >= 0 for dim in shape)):
+            raise bad(f"entry {entry!r} is not a name and a shape of non-negative integers")
+        if name in seen:
+            raise bad(f"names {name} twice")
+        seen.add(name)
+        total += math.prod(shape)
+    if total != flat.size:
+        raise bad(f"sizes sum to {total}, but params holds {flat.size} values")
+    return index

@@ -40,6 +40,7 @@ from .encoder import (
     EncoderParams,
     encode_batch,
     load_checkpoint,
+    param_shapes,
     pooler,
     save_checkpoint,
 )
@@ -815,18 +816,39 @@ def lambda_sweep(config: RunConfig, grid, run_dir):
 
 
 def load_model(ckpt_path):
-    """Rebuild (model, vocab, meta) from a checkpoint file."""
+    """Rebuild (model, vocab, meta) from a checkpoint file.
+
+    Before anything is built, refuses a file whose metadata lacks the subtask
+    or the vocabulary, or whose parameter names and shapes differ from those
+    its encoder config and its subtask's head imply.
+    """
     enc_config, params, meta = load_checkpoint(ckpt_path)
-    encoder_tensors = {n: t for n, t in params.items() if not n.startswith("classifier.")}
-    encoder = EncoderParams(enc_config, encoder_tensors)
-    weight, bias = params["classifier.weight"], params["classifier.bias"]
-    width, subtask = weight.shape[0], meta["subtask"]
-    if HEAD_WIDTH.get(subtask) != width or bias.shape != (width,):
-        raise ConfigError(
-            f"{ckpt_path}: a {width}-wide classifier does not fit subtask {subtask!r}"
-        )
-    vocab = Vocabulary(meta["vocab"])
-    return Model(encoder, HeadParams(weight, bias), subtask), vocab, meta
+    for key in ("subtask", "vocab"):
+        if key not in meta:
+            raise ConfigError(f"{ckpt_path}: checkpoint metadata has no {key!r}")
+    subtask, d = meta["subtask"], enc_config.d_model
+    width = HEAD_WIDTH.get(subtask)
+    shapes = param_shapes(enc_config)
+    expected = {**shapes, "classifier.weight": (width, d), "classifier.bias": (width,)}
+    missing = [name for name in expected if name not in params]
+    if missing:
+        raise ConfigError(f"{ckpt_path}: checkpoint lacks {', '.join(missing)}")
+    extra = [name for name in params if name not in expected]
+    if extra:
+        raise ConfigError(f"{ckpt_path}: checkpoint holds {', '.join(extra)}, unused by its config")
+    for name, shape in expected.items():
+        found = params[name].shape
+        if name == "classifier.weight" and found[1:] == (d,) and found[0] != width:
+            raise ConfigError(
+                f"{ckpt_path}: a {found[0]}-wide classifier does not fit subtask {subtask!r}"
+            )
+        if found != shape:
+            raise ConfigError(
+                f"{ckpt_path}: {name} has shape {found}, but its config and subtask imply {shape}"
+            )
+    encoder = EncoderParams(enc_config, {name: params[name] for name in shapes})
+    head = HeadParams(params["classifier.weight"], params["classifier.bias"])
+    return Model(encoder, head, subtask), Vocabulary(meta["vocab"]), meta
 
 
 def predict_records(ckpt_path, records):

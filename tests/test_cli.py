@@ -351,6 +351,20 @@ def test_sweep_refuses_a_bad_grid_value_before_training(corpus, tmp_path, capsys
      "{corpus}: not a pcldetect checkpoint"),
     ("predict --checkpoint {array} --data {corpus} --out {out}",
      "{array}: not a pcldetect checkpoint"),
+    ("predict --checkpoint {version2} --data {corpus} --out {out}",
+     "{version2}: checkpoint version 2; this pcldetect reads version 3"),
+    ("predict --checkpoint {name_twice} --data {corpus} --out {out}",
+     "{name_twice}: checkpoint parameter index names a twice"),
+    ("predict --checkpoint {negative_dim} --data {corpus} --out {out}",
+     "{negative_dim}: checkpoint parameter index entry ['b', [-2, 3]] is not a name and a shape"),
+    ("predict --checkpoint {fractional_dim} --data {corpus} --out {out}",
+     "{fractional_dim}: checkpoint parameter index entry ['a', [1.5]] is not a name and a shape"),
+    ("predict --checkpoint {short_params} --data {corpus} --out {out}",
+     "{short_params}: checkpoint parameter index sizes sum to 6, but params holds 5 values"),
+    ("predict --checkpoint {unknown_field} --data {corpus} --out {out}",
+     "{unknown_field}: checkpoint encoder config"),
+    ("predict --checkpoint {two_d_params} --data {corpus} --out {out}",
+     "{two_d_params}: checkpoint params are float64 of shape (1, 2), not a 1-d float64 array"),
     ("predict --checkpoint {dir} --data {corpus} --out {out}", "Is a directory: '{dir}'"),
     ("train --data {dir} --out-dir {run}", "Is a directory: '{dir}'"),
     ("train --config {dir} --out-dir {run}", "Is a directory: '{dir}'"),
@@ -359,7 +373,11 @@ def test_sweep_refuses_a_bad_grid_value_before_training(corpus, tmp_path, capsys
     ("ensemble --preds {latin1_preds} {latin1_preds} {latin1_preds} --out {out}",
      "{latin1_preds}: line 2: not UTF-8 text"),
     ("train --data {corpus} --out-dir {file}", "File exists: '{file}'"),
-], ids=["predict-out-dir", "predict-checkpoint-tsv", "predict-checkpoint-npy", "checkpoint-dir",
+], ids=["predict-out-dir", "predict-checkpoint-tsv", "predict-checkpoint-npy",
+        "predict-checkpoint-version-2", "predict-checkpoint-name-twice",
+        "predict-checkpoint-negative-dim", "predict-checkpoint-fractional-dim",
+        "predict-checkpoint-sizes", "predict-checkpoint-unknown-field",
+        "predict-checkpoint-2d-params", "checkpoint-dir",
         "data-dir", "config-dir", "data-not-utf8", "evaluate-not-utf8", "ensemble-not-utf8",
         "out-dir-is-a-file"])
 def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_path, capsys,
@@ -368,6 +386,23 @@ def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_pat
              ("missing", "dir", "out", "run", "latin1", "latin1_preds", "file")}
     paths["corpus"], paths["array"] = corpus, tmp_path / "array.npy"
     np.save(paths["array"], np.zeros(3))
+    paths["version2"] = tmp_path / "version2.npz"
+    with open(paths["version2"], "wb") as fh:  # laid out as version 2 wrote it
+        np.savez(fh, header=np.array(json.dumps({"version": 2})), **{"param/a": np.zeros(2)})
+    for name, fields, size in [
+        ("name_twice", {"params": [["a", [2]], ["a", [2]]]}, 4),
+        ("negative_dim", {"params": [["a", [2]], ["b", [-2, 3]]]}, 2),
+        ("fractional_dim", {"params": [["a", [1.5]]]}, 1),
+        ("short_params", {"params": [["a", [2]], ["b", [2, 2]]]}, 5),
+        ("unknown_field", {"encoder_config": {"vocab_size": 8, "colour": 1}}, 2),
+        ("two_d_params", {}, (1, 2)),
+    ]:
+        header = json.dumps({"version": 3, "encoder_config": {"vocab_size": 8}, "meta": {},
+                             "params": [["a", [2]]], **fields})
+        paths[name] = tmp_path / f"{name}.npz"
+        with open(paths[name], "wb") as fh:
+            np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
+                     params=np.zeros(size))
     paths["dir"].mkdir()
     paths["file"].write_text("not a directory\n", encoding="utf-8")
     first_row = corpus.read_bytes().splitlines(keepends=True)[0]

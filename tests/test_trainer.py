@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from pcldetect import trainer
-from pcldetect.autograd import Tape, backward
+from pcldetect.autograd import Tape, Tensor, backward
 from pcldetect.cli import main
-from pcldetect.data import pad_batch
+from pcldetect.data import Vocabulary, compose_input, pad_batch, tokenize
 from pcldetect.encoder import encode_batch, load_checkpoint, pooler, save_checkpoint
 from pcldetect.errors import (
     ConfigError,
@@ -406,24 +406,68 @@ def test_numerics_error_in_a_helper_batch_reaches_the_caller(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("subtask, width", [(1, 7), (2, 2), (1, 3), (2, 3)])
+_WIDTH_MISMATCH = "a {width}-wide classifier does not fit subtask {subtask}"
+
+
+@pytest.mark.parametrize("subtask, width, doctor, message", [
+    (1, 7, None, _WIDTH_MISMATCH),
+    (2, 2, None, _WIDTH_MISMATCH),
+    (1, 3, None, _WIDTH_MISMATCH),
+    (2, 3, None, _WIDTH_MISMATCH),
+    (1, 2, lambda params, meta: meta.pop("subtask"), "checkpoint metadata has no 'subtask'"),
+    (1, 2, lambda params, meta: params.pop("pooler.dense.weight"),
+     "checkpoint lacks pooler.dense.weight"),
+    (1, 2, lambda params, meta: params.update({"layer.0.attn.q.weight": Tensor(np.eye(3))}),
+     "layer.0.attn.q.weight has shape (3, 3), but its config and subtask imply (16, 16)"),
+    (1, 2, lambda params, meta: params.update({"pooler.extra": Tensor(np.zeros(2))}),
+     "checkpoint holds pooler.extra, unused by its config"),
+], ids=["1-7", "2-2", "1-3", "2-3", "no-subtask", "no-pooler-weight", "q-weight-3x3",
+        "extra-parameter"])
 def test_predict_refuses_a_head_whose_width_does_not_fit_the_subtask(
-    small_corpus, tmp_path, capsys, subtask, width
+    small_corpus, tmp_path, capsys, subtask, width, doctor, message
 ):
     config = tiny_config(small_corpus)
     data = load_training_data(config)
     model = build_model(config, len(data.vocab), np.random.default_rng(3))
     model.head = HeadParams.init(config.d_model, width, np.random.default_rng(4))
+    params, meta = model.named(), {"subtask": subtask, "vocab": data.vocab.tokens}
+    if doctor is not None:
+        doctor(params, meta)
     ckpt, out = tmp_path / "doctored.npz", tmp_path / "out.tsv"
-    save_checkpoint(ckpt, model.encoder.config, model.named(),
-                    {"subtask": subtask, "vocab": data.vocab.tokens})
+    save_checkpoint(ckpt, model.encoder.config, params, meta)
     code = main(["predict", "--checkpoint", str(ckpt), "--data", str(small_corpus),
                  "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1, err
-    assert f"a {width}-wide classifier does not fit subtask {subtask}" in err
+    assert message.format(width=width, subtask=subtask) in err
     assert not out.exists()
+
+
+def test_a_non_ascii_vocabulary_round_trips_through_a_checkpoint_and_predict(
+    small_corpus, tmp_path
+):
+    model, data = _mixed_label_model(small_corpus, 1)
+    tokens = data.vocab.tokens[:-2] + ["café", "naïve"]
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(ckpt, model.encoder.config, model.named(), {"subtask": 1, "vocab": tokens})
+    assert '"café", "naïve"'.encode("utf-8") in ckpt.read_bytes()  # the header is UTF-8 text
+    assert load_checkpoint(ckpt)[2]["vocab"] == tokens
+
+    records = [dataclasses.replace(r, text=f"{r.text} café naïve") for r in data.records]
+    tsv, out = tmp_path / "data.tsv", tmp_path / "out.tsv"
+    write_binary_tsv(tsv, records)
+    assert main(["predict", "--checkpoint", str(ckpt), "--data", str(tsv), "--out", str(out)]) == 0
+    vocab = Vocabulary(tokens)
+    rows = [tokenize(compose_input(r), vocab, model.encoder.config.max_len) for r in records]
+    assert all(vocab.encode_token("café") in ids and vocab.encode_token("naïve") in ids
+               for ids in rows)
+    labels = [int(model.predict(model.forward(pad_batch([ids], pad_id=vocab.pad_id)))[0])
+              for ids in rows]
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        f"{r.par_id}\t{label}" for r, label in zip(records, labels)
+    ]
+    assert len(set(labels)) > 1
 
 
 def test_training_is_the_same_with_one_or_two_workers(small_corpus, tmp_path, monkeypatch):
