@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -37,66 +38,32 @@ def _resolve(path: str) -> str:
     return str(p)
 
 
-_CONFIG_FLAGS = (
-    # (flag, field, type, help)
-    ("--subtask", "subtask", int, "1 (binary) or 2 (multi-label)"),
-    ("--data", "data_path", str, "training data TSV"),
-    ("--negatives", "negatives_path", str,
-     "subtask 2: labeled TSV whose negatives join with all-zero vectors"),
-    ("--out-dir", "out_dir", str, "directory for checkpoints and metadata"),
-    ("--d-model", "d_model", int, "encoder width"),
-    ("--n-heads", "n_heads", int, "attention heads"),
-    ("--n-layers", "n_layers", int, "encoder layers"),
-    ("--d-ff", "d_ff", int, "feed-forward width"),
-    ("--max-len", "max_len", int, "maximum token sequence length"),
-    ("--dropout", "dropout", float, "dropout rate"),
-    ("--batch-size", "batch_size", int, "training batch size"),
-    ("--epochs", "epochs", int, "maximum training epochs"),
-    ("--eta", "eta", float, "anchor learning rate of the middle group"),
-    ("--lambda", "lam", float, "group decay factor (default 1.6/3.6 by subtask)"),
-    ("--groups", "groups", int, "number of encoder layer groups"),
-    ("--head-multiplier", "head_multiplier", float, "head lr relative to the top group"),
-    ("--weight-decay", "weight_decay", float, "decoupled weight decay"),
-    ("--warmup-frac", "warmup_frac", float, "linear warmup fraction of total steps"),
-    ("--k-folds", "k_folds", int, "stratified fold count"),
-    ("--eval-every-batches", "eval_every_batches", int, "batches between evaluations"),
-    ("--patience-rounds", "patience_rounds", int,
-     "consecutive non-improving evaluations before stopping"),
-    ("--seed", "seed", int, "run seed"),
-    ("--fold", "fold", int, "which fold the train command holds out"),
-    ("--fold-seed", "fold_seed", int, "fold assignment seed (defaults to --seed)"),
-    ("--grouping", "grouping", str, "llrd (grouped decay) or single (flat baseline)"),
-)
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per RunConfig field; the field's metadata holds its help and any other name."""
     parser.add_argument("--config", help="key=value config file; flags override it")
-    for flag, field, typ, help_text in _CONFIG_FLAGS:
-        parser.add_argument(flag, dest=field, type=typ, default=None, help=help_text)
-    parser.add_argument(
-        "--wrs",
-        dest="wrs",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="weighted random sampling over the training split",
-    )
+    for field in dataclasses.fields(RunConfig):
+        flag = field.metadata["flag"] or "--" + field.name.replace("_", "-")
+        # no type: RunConfig.from_mapping parses a flag's string as it parses a config file's
+        action = argparse.BooleanOptionalAction if field.type == "bool" else "store"
+        parser.add_argument(flag, dest=field.name, action=action, default=None,
+                            help=field.metadata["help"])
 
 
 def _build_config(args) -> RunConfig:
     overrides = {}
-    for _, field, _, _ in _CONFIG_FLAGS:
-        value = getattr(args, field)
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(args, field.name)
         if value is not None:
-            overrides[field] = value
-    if args.wrs is not None:
-        overrides["wrs"] = args.wrs
-    if "data_path" in overrides:
-        overrides["data_path"] = _resolve(overrides["data_path"])
-    if overrides.get("negatives_path"):
-        overrides["negatives_path"] = _resolve(overrides["negatives_path"])
+            overrides[field.name] = value
     if args.config:
-        return RunConfig.from_file(_resolve(args.config), overrides)
-    return RunConfig.from_mapping(overrides)
+        config = RunConfig.from_file(_resolve(args.config), overrides)
+    else:
+        config = RunConfig.from_mapping(overrides)
+    # a data path falls back to $PCLDETECT_DATA_DIR whether a flag or the file set it
+    paths = ("data_path", "negatives_path")
+    return dataclasses.replace(
+        config, **{key: _resolve(getattr(config, key)) for key in paths if getattr(config, key)}
+    )
 
 
 def _cmd_train(args) -> int:

@@ -84,38 +84,50 @@ PREDICT_WORKERS = 2
 FORK_MIN_EVAL_S = 0.05
 
 
+def _setting(default, help_text: str, flag: str | None = None):
+    """A RunConfig field: its default, its CLI help and, when it is not
+    `--` plus the field name with dashes, its flag."""
+    return dataclasses.field(default=default, metadata={"help": help_text, "flag": flag})
+
+
 @dataclass
 class RunConfig:
-    """Resolved knobs for one training run."""
+    """Resolved knobs for one training run; the CLI's flags are made from its fields."""
 
-    subtask: int = 1
-    data_path: str = ""
-    negatives_path: str = ""  # subtask 2: labeled file whose negatives join with zero vectors
-    out_dir: str = "runs"
+    subtask: int = _setting(1, "1 (binary) or 2 (multi-label)")
+    data_path: str = _setting("", "training data TSV", flag="--data")
+    negatives_path: str = _setting(
+        "", "subtask 2: labeled TSV whose negatives join with all-zero vectors",
+        flag="--negatives",
+    )
+    out_dir: str = _setting("runs", "directory for checkpoints and metadata")
     # model
-    d_model: int = 64
-    n_heads: int = 4
-    n_layers: int = 6
-    d_ff: int = 256
-    max_len: int = 250
-    dropout: float = 0.4
+    d_model: int = _setting(64, "encoder width")
+    n_heads: int = _setting(4, "attention heads")
+    n_layers: int = _setting(6, "encoder layers")
+    d_ff: int = _setting(256, "feed-forward width")
+    max_len: int = _setting(250, "maximum token sequence length")
+    dropout: float = _setting(0.4, "dropout rate")
     # recipe
-    batch_size: int = 4
-    epochs: int = 10
-    eta: float = 1e-5
-    lam: float | None = None  # defaults per subtask: 1.6 or 3.6
-    groups: int = 3
-    head_multiplier: float = 1.1
-    weight_decay: float = 0.01
-    warmup_frac: float = 0.10
-    k_folds: int = 5
-    eval_every_batches: int = 50
-    patience_rounds: int = 10
-    seed: int = 13
-    fold: int = 0
-    fold_seed: int | None = None  # defaults to seed
-    wrs: bool = True
-    grouping: str = "llrd"  # "llrd" | "single"
+    batch_size: int = _setting(4, "training batch size")
+    epochs: int = _setting(10, "maximum training epochs")
+    eta: float = _setting(1e-5, "anchor learning rate of the middle group")
+    lam: float | None = _setting(
+        None, "group decay factor; none means 1.6 (subtask 1) or 3.6 (subtask 2)",
+        flag="--lambda",
+    )
+    groups: int = _setting(3, "number of encoder layer groups")
+    head_multiplier: float = _setting(1.1, "head lr relative to the top group")
+    weight_decay: float = _setting(0.01, "decoupled weight decay")
+    warmup_frac: float = _setting(0.10, "linear warmup fraction of total steps")
+    k_folds: int = _setting(5, "stratified fold count, at least 2")
+    eval_every_batches: int = _setting(50, "batches between evaluations")
+    patience_rounds: int = _setting(10, "consecutive non-improving evaluations before stopping")
+    seed: int = _setting(13, "run seed")
+    fold: int = _setting(0, "which fold the train command holds out")
+    fold_seed: int | None = _setting(None, "fold assignment seed; none means the run seed")
+    wrs: bool = _setting(True, "weighted random sampling over the training split")
+    grouping: str = _setting("llrd", "llrd (grouped decay) or single (flat baseline)")
 
     def __post_init__(self):
         if self.subtask not in (1, 2):
@@ -126,13 +138,16 @@ class RunConfig:
             "eta": self.eta,
             "groups": self.groups,
             "head_multiplier": self.head_multiplier,
-            "k_folds": self.k_folds,
             "eval_every_batches": self.eval_every_batches,
             "patience_rounds": self.patience_rounds,
         }
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
+        if self.k_folds < 2:
+            raise ConfigError(f"k_folds must be at least 2, got {self.k_folds}")
+        if not 0 <= self.fold < self.k_folds:
+            raise ConfigError(f"fold must be in [0, {self.k_folds}), got {self.fold}")
         if self.lam is not None and self.lam <= 0:
             raise ConfigError("lambda must be positive")
         if self.weight_decay < 0:
@@ -201,6 +216,7 @@ class RunConfig:
 
 
 def _coerce(raw, annotation: str, key: str):
+    """Parse a config-file value or a CLI flag's string as the field's type."""
     if not isinstance(raw, str):
         return raw
     text = raw.strip()
@@ -526,9 +542,8 @@ class _Evaluation:
     while training goes on, recorded before the next starts or the epoch ends.
     """
 
-    def __init__(self, model: Model, data: TrainingData, val_idx, patience: int, dropout_rng):
-        self.model, self.data, self.val_idx = model, data, val_idx
-        self.patience, self.dropout_rng = patience, dropout_rng
+    def __init__(self, model: Model, data: TrainingData, val_idx, patience: int):
+        self.model, self.data, self.val_idx, self.patience = model, data, val_idx, patience
         self.history: list = []  # [(step, metric), ...]
         self.best, self.best_step, self.snapshot, self.since_improved = -math.inf, -1, None, 0
         self.fork = None  # whether evaluations may fork; None until the first is timed
@@ -567,8 +582,7 @@ class _Evaluation:
             self.pending[2].close()
 
     def _snapshot(self, step: int):
-        values = {name: t.values.copy() for name, t in self.model.named().items()}
-        return values, {"dropout": self.dropout_rng.bit_generator.state, "step": step}
+        return {name: t.values.copy() for name, t in self.model.named().items()}, step
 
     def _record(self, step: int, metric: float, snapshot=None) -> None:
         """The one place an evaluation is recorded; no `snapshot` means take one now."""
@@ -615,7 +629,7 @@ def train_fold(
 
     step = 0
     losses: list = []
-    evaluation = _Evaluation(model, data, val_idx, config.patience_rounds, dropout_rng)
+    evaluation = _Evaluation(model, data, val_idx, config.patience_rounds)
     try:
         for epoch in range(config.epochs):
             order = _epoch_order(config, data, train_idx, epoch, order_seeds)
@@ -683,25 +697,20 @@ _PATH_KEYS = ("data_path", "negatives_path", "out_dir")
 
 
 def _write_checkpoint(path, config, data, groups, snapshot, fold, total_steps):
-    values, rng_meta = snapshot
+    values, step = snapshot
     tensors = {name: ag.Tensor(arr, requires_grad=True) for name, arr in values.items()}
     run_config = {k: v for k, v in config.to_dict().items() if k not in _PATH_KEYS}
     meta = {
         "run_config": run_config,
         "subtask": config.subtask,
-        "seed": config.seed,
         "fold": fold,
         "vocab": data.vocab.tokens,
-        "rng": rng_meta,
-        "schedule": {"snapshot_step": rng_meta["step"], "total_steps": total_steps},
+        "schedule": {"snapshot_step": step, "total_steps": total_steps},
         "optimizer_groups": [
             {"role": g.role, "base_lr": g.base_lr, "weight_decay": g.weight_decay,
              "names": list(g.names)}
             for g in groups
         ],
-        "lambda": config.resolved_lambda,
-        "eta": config.eta,
-        "head_multiplier": config.head_multiplier,
     }
     save_checkpoint(path, config.encoder_config(len(data.vocab)), tensors, meta)
 
@@ -723,50 +732,41 @@ def make_folds(config: RunConfig, data: TrainingData) -> FoldAssignment:
     return stratified_kfold(data.strat_labels, k=config.k_folds, seed=config.resolved_fold_seed)
 
 
-def _save_vocab(run_dir, data: TrainingData) -> None:
+def _train_folds(config: RunConfig, run_dir, fold_numbers) -> list[FoldOutcome]:
+    """Load the data, train each listed fold of its stratified assignment and
+    write vocab.txt and metadata.json beside the checkpoints."""
+    data = load_training_data(config)
+    folds = make_folds(config, data)
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     data.vocab.save(run_dir / "vocab.txt")
+    # train_fold is looked up at call time, so a caller may wrap it in this module
+    outcomes = [train_fold(config, data, *folds.split(fold), fold, run_dir)
+                for fold in fold_numbers]
+    _write_metadata(run_dir, config, outcomes)
+    return outcomes
 
 
 def run_single_fold(config: RunConfig, run_dir) -> FoldOutcome:
     """The `train` command: one fold of the stratified assignment."""
-    data = load_training_data(config)
-    folds = make_folds(config, data)
-    if not 0 <= config.fold < config.k_folds:
-        raise ConfigError(f"fold must be in [0, {config.k_folds}), got {config.fold}")
-    train_idx, val_idx = folds.split(config.fold)
-    _save_vocab(run_dir, data)
-    outcome = train_fold(config, data, train_idx, val_idx, config.fold, run_dir)
-    _write_metadata(run_dir, config, [outcome])
-    return outcome
+    return _train_folds(config, run_dir, [config.fold])[0]
 
 
 def run_kfold(config: RunConfig, run_dir):
     """Train every fold; returns (RunReport, fold outcomes)."""
     from .ensemble import RunReport
 
-    data = load_training_data(config)
-    folds = make_folds(config, data)
-    _save_vocab(run_dir, data)
-    outcomes = []
-    for fold in range(config.k_folds):
-        train_idx, val_idx = folds.split(fold)
-        outcomes.append(train_fold(config, data, train_idx, val_idx, fold, run_dir))
+    outcomes = _train_folds(config, run_dir, range(config.k_folds))
     best = max(outcomes, key=lambda o: (o.best_metric, -o.fold))
     report = RunReport.create(
         config.seed, [o.best_metric for o in outcomes], best.checkpoint_path
     )
-    run_dir = Path(run_dir)
-    with atomic_open(run_dir / "report.json", encoding="utf-8") as fh:
+    with atomic_open(Path(run_dir) / "report.json", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
-    _write_metadata(run_dir, config, outcomes)
     return report, outcomes
 
 
-def _write_metadata(run_dir, config: RunConfig, outcomes):
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
+def _write_metadata(run_dir: Path, config: RunConfig, outcomes):
     meta = {
         "config": config.to_dict(),
         "seed": config.seed,
@@ -796,14 +796,21 @@ def lambda_sweep(config: RunConfig, grid, run_dir):
     grid = list(grid)
     if not grid:
         raise ConfigError("lambda grid is empty")
+    runs = {}  # run directory name -> config
+    for lam in grid:
+        name = f"lambda_{lam:g}"
+        if name in runs:
+            raise ConfigError(
+                f"lambda grid values {runs[name].lam!r} and {lam!r} would both write {name}/"
+            )
+        runs[name] = dataclasses.replace(config, lam=lam)
     run_dir = Path(run_dir)
     rows = []
-    for lam in grid:
-        sub = dataclasses.replace(config, lam=lam)
-        report, _ = run_kfold(sub, run_dir / f"lambda_{lam:g}")
+    for name, sub in runs.items():
+        report, _ = run_kfold(sub, run_dir / name)
         metrics = np.array(report.fold_metrics)
-        rows.append((lam, float(metrics.mean()), float(metrics.std())))
-        logger.info("lambda %.2f: mean %.4f std %.4f", lam, rows[-1][1], rows[-1][2])
+        rows.append((sub.lam, float(metrics.mean()), float(metrics.std())))
+        logger.info("lambda %.2f: mean %.4f std %.4f", sub.lam, rows[-1][1], rows[-1][2])
     table = "\n".join(f"{lam:g}\t{mean:.6f}\t{std:.6f}" for lam, mean, std in rows)
     with atomic_open(run_dir / "sweep.tsv", encoding="utf-8") as fh:
         fh.write(table + "\n")

@@ -294,6 +294,7 @@ def _held_out_recall(outcome, data, val_idx):
     return prf1_positive(labels, golds)[1]
 
 
+@pytest.mark.slow
 def test_acceptance_end_to_end_synthetic(tmp_path):
     with criterion("end-to-end: full recipe F1 >= 0.95 in <10 min; ablation direction"):
         corpus = tmp_path / "train.tsv"

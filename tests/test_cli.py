@@ -1,9 +1,12 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from pcldetect.cli import main
+from pcldetect.cli import build_parser, main
+from pcldetect.trainer import RunConfig
 
 from synthcorpus import (
     synthetic_binary_records,
@@ -178,6 +181,20 @@ def test_data_dir_env_var(corpus, tmp_path, monkeypatch, capsys):
     assert "f1\t1.000000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_relative_data_path_falls_back_to_the_data_dir(corpus, tmp_path, monkeypatch, source):
+    monkeypatch.setenv("PCLDETECT_DATA_DIR", str(corpus.parent))
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data_path = {corpus.name}\n" if source == "config" else "", encoding="utf-8")
+    flags = ["--data", corpus.name] if source == "flag" else []
+    code = main(["train", "--config", str(cfg), *flags, "--out-dir", str(tmp_path / "run"),
+                 "--k-folds", "3", *TINY_FLAGS])
+    assert code == 0
+    meta = json.loads((tmp_path / "run" / "metadata.json").read_text())
+    assert meta["config"]["data_path"] == str(corpus)
+
+
 def _one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -211,11 +228,14 @@ def test_kfold_with_a_class_smaller_than_k_fails_cleanly(tmp_path, capsys):
     ("--d-model 30 --n-heads 4", "divisible by n_heads"),
     ("--dropout 1.5", "dropout_rate must be in [0, 1)"),
     ("--max-len 2", "max_len must allow"),
-], ids=["groups", "heads", "dropout", "max-len"])
-def test_more_groups_than_layers_is_refused_before_writing(corpus, tmp_path, capsys,
-                                                           flags, message):
+    ("--fold 3 --k-folds 3", "fold must be in [0, 3), got 3"),
+    ("--k-folds 1", "k_folds must be at least 2, got 1"),
+], ids=["groups", "heads", "dropout", "max-len", "fold", "k-folds"])
+def test_more_groups_than_layers_is_refused_before_writing(tmp_path, capsys, flags, message):
     out_dir = tmp_path / "run"
-    code = main(["train", "--data", str(corpus), "--out-dir", str(out_dir), *flags.split()])
+    # a data file that does not exist shows that nothing was read
+    code = main(["train", "--data", str(tmp_path / "never-read.tsv"), "--out-dir", str(out_dir),
+                 *flags.split()])
     assert code == 1
     assert message in _one_line_error(capsys)
     assert not (out_dir / "vocab.txt").exists()
@@ -343,6 +363,55 @@ def test_sweep_refuses_a_bad_grid_value_before_training(corpus, tmp_path, capsys
     assert code == 1
     assert f"--grid value {grid.split(',')[-1]!r}" in _one_line_error(capsys)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("grid", ["1.6,1.6", "1.6,1.6000001"])
+def test_sweep_refuses_a_grid_whose_values_name_one_run_directory(corpus, tmp_path, capsys,
+                                                                  grid):
+    out_dir = tmp_path / "run"
+    code = main(["sweep", "--data", str(corpus), "--out-dir", str(out_dir),
+                 "--grid", grid, *TINY_FLAGS])
+    assert code == 1
+    first, second = grid.split(",")
+    assert (f"lambda grid values {first} and {second} would both write lambda_1.6/"
+            in _one_line_error(capsys))
+    assert not (out_dir / "sweep.tsv").exists()
+    assert not (out_dir / "lambda_1.6").exists()
+
+
+def test_a_flag_value_of_the_wrong_type_ends_as_one_error_line(corpus, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code = main(["train", "--data", str(corpus), "--out-dir", str(out_dir), "--seed", "abc"])
+    assert code == 1
+    assert "cannot parse seed='abc' as int" in _one_line_error(capsys)
+    assert not out_dir.exists()
+
+
+def test_none_flags_are_accepted_as_in_a_config_file(corpus, tmp_path):
+    out_dir = tmp_path / "run"
+    code = main(["train", "--data", str(corpus), "--out-dir", str(out_dir), "--k-folds", "3",
+                 "--fold-seed", "none", "--lambda", "none", *TINY_FLAGS])
+    assert code == 0
+    config = json.loads((out_dir / "metadata.json").read_text())["config"]
+    assert config["fold_seed"] is None and config["lam"] is None
+    assert config["resolved_lambda"] == 1.6
+
+
+def test_config_commands_have_one_flag_per_run_config_field():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    renamed = {"data_path": ["--data"], "negatives_path": ["--negatives"], "lam": ["--lambda"],
+               "wrs": ["--wrs", "--no-wrs"]}
+    for command, extra in [("train", set()), ("kfold", set()), ("sweep", {"grid"})]:
+        actions = [a for a in commands[command]._actions if a.dest != "help"]
+        assert sorted(a.dest for a in actions) == sorted({*fields, "config", *extra})
+        for action in actions:
+            assert action.help, (command, action.dest)
+            if action.dest in fields:
+                assert action.help == fields[action.dest].metadata["help"]
+                flags = renamed.get(action.dest, ["--" + action.dest.replace("_", "-")])
+                assert action.option_strings == flags
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -137,6 +137,9 @@ def test_step_count_matches_loop_arithmetic(small_corpus, tmp_path):
     assert outcome.best_step == outcome.steps_taken
     _, _, meta = load_checkpoint(outcome.checkpoint_path)
     assert meta["schedule"]["snapshot_step"] == outcome.steps_taken
+    # each setting once: the recipe lives in run_config, and no generator state
+    assert sorted(meta) == ["fold", "optimizer_groups", "run_config", "schedule", "subtask",
+                            "vocab"]
 
 
 def test_early_stopping_cuts_run_short(small_corpus, tmp_path):
