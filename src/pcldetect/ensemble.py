@@ -20,7 +20,7 @@ class RunReport:
     checkpoint: str
 
     def __post_init__(self):
-        expected = sum(self.fold_metrics) / len(self.fold_metrics)
+        expected = _mean(self.fold_metrics)
         if abs(self.mean_val - expected) > 1e-12:
             raise ContractError(
                 f"mean_val {self.mean_val} is not the mean of {self.fold_metrics}"
@@ -29,7 +29,7 @@ class RunReport:
     @classmethod
     def create(cls, seed: int, fold_metrics, checkpoint: str) -> "RunReport":
         fold_metrics = tuple(float(m) for m in fold_metrics)
-        return cls(seed, fold_metrics, sum(fold_metrics) / len(fold_metrics), checkpoint)
+        return cls(seed, fold_metrics, _mean(fold_metrics), checkpoint)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -46,6 +46,12 @@ class RunReport:
     def from_json(cls, text: str) -> "RunReport":
         d = json.loads(text)
         return cls(d["seed"], tuple(d["fold_metrics"]), d["mean_val"], d["checkpoint"])
+
+
+def _mean(fold_metrics) -> float:
+    if not fold_metrics:
+        raise ContractError("a run report needs at least one fold metric")
+    return sum(fold_metrics) / len(fold_metrics)
 
 
 def select_top_k(reports, k: int = 3) -> list[RunReport]:

@@ -7,9 +7,10 @@ import hashlib
 import json
 import logging
 import math
+import mmap
 import os
-import pickle
 import signal
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -48,7 +49,6 @@ from .errors import (
     ConfigError,
     ContractError,
     NumericsError,
-    PcldetectError,
     TrainingDivergedError,
 )
 from .files import atomic_open
@@ -190,8 +190,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
-        """Read key=value lines ('#' comments allowed); overrides win."""
-        values: dict = {}
+        """Read key=value lines ('#' comments allowed, each key once); overrides win."""
+        values, lines = {}, {}
         for lineno, line in text_lines(path):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -199,7 +199,9 @@ class RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}: line {lineno}: expected key=value")
             key, raw = (s.strip() for s in line.split("=", 1))
-            values[key] = raw
+            if key in lines:
+                raise ConfigError(f"{path}: {key} is set on lines {lines[key]} and {lineno}")
+            values[key], lines[key] = raw, lineno
         if overrides:
             values.update(overrides)
         return cls.from_mapping(values)
@@ -316,6 +318,14 @@ class Model:
     head: HeadParams
     subtask: int
 
+    @classmethod
+    def from_arrays(cls, config: EncoderConfig, subtask: int, arrays: dict) -> "Model":
+        """A model over a name -> array mapping: a snapshot or a checkpoint's parameters."""
+        tensors = {name: ag.Tensor(arrays[name], requires_grad=True)
+                   for name in [*param_shapes(config), "classifier.weight", "classifier.bias"]}
+        head = HeadParams(tensors.pop("classifier.weight"), tensors.pop("classifier.bias"))
+        return cls(EncoderParams(config, tensors), head, subtask)
+
     def named(self) -> dict:
         params = dict(self.encoder.tensors)
         params.update(self.head.named())
@@ -423,75 +433,6 @@ def eval_metric(model: Model, data: TrainingData, indices) -> float:
     return macro_f1([tuple(p) for p in preds], [tuple(g) for g in golds])[1]
 
 
-class _ChildEval:
-    """`eval_metric` in a forked child, on its copy-on-write image of the model.
-
-    The child predicts serially, since the parent goes on training on the
-    other core, pickles the metric or the error it raised into a pipe and
-    leaves through `os._exit`, so no handler or buffer of the parent runs
-    twice. An error that does not survive pickling reaches the parent as a
-    `PcldetectError` naming it.
-    """
-
-    def __init__(self, model: Model, data: TrainingData, indices):
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                os.close(read_fd)
-                global PREDICT_WORKERS
-                PREDICT_WORKERS = 1  # the child's own copy of the module
-                try:
-                    outcome = (True, eval_metric(model, data, indices))
-                except BaseException as exc:  # sent to the parent, which raises it
-                    outcome = (False, exc)
-                try:
-                    payload = pickle.dumps(outcome)  # all or nothing reaches the pipe
-                    pickle.loads(payload)
-                except Exception:
-                    exc = outcome[1]
-                    payload = pickle.dumps(
-                        (False, PcldetectError(f"{type(exc).__name__}: {exc}"))
-                    )
-                with os.fdopen(write_fd, "wb") as fh:
-                    fh.write(payload)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        self.pid, self.fd = pid, read_fd
-
-    def result(self) -> float:
-        """Wait for the child and reap it; its metric, or its error raised here."""
-        try:
-            chunks = []
-            while chunk := os.read(self.fd, 1 << 16):
-                chunks.append(chunk)
-            _, status = os.waitpid(self.pid, 0)
-            self.pid = None
-        finally:
-            self.close()
-        if not chunks:
-            raise PcldetectError(
-                f"evaluation child exited without a result (wait status {status})"
-            )
-        ok, value = pickle.loads(b"".join(chunks))
-        if not ok:
-            raise value
-        return value
-
-    def close(self) -> None:
-        """Kill the child if it was not waited for, reap it, close the pipe."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-
-
 # ---------------------------------------------------------------------------
 # fold training
 # ---------------------------------------------------------------------------
@@ -538,8 +479,9 @@ class _Evaluation:
     """A fold's validation passes: history, best snapshot, patience and fork gate.
 
     Once the first evaluation, timed in process, took over FORK_MIN_EVAL_S on
-    two or more cores, each that cannot end the fold runs in a `_ChildEval`
-    while training goes on, recorded before the next starts or the epoch ends.
+    two or more cores, each that cannot end the fold is scored in a forked
+    child while training goes on, and recorded before the next starts or the
+    epoch ends.
     """
 
     def __init__(self, model: Model, data: TrainingData, val_idx, patience: int):
@@ -547,7 +489,7 @@ class _Evaluation:
         self.history: list = []  # [(step, metric), ...]
         self.best, self.best_step, self.snapshot, self.since_improved = -math.inf, -1, None, 0
         self.fork = None  # whether evaluations may fork; None until the first is timed
-        self.pending = None  # (step, snapshot at that step, _ChildEval)
+        self.pending = None  # (step, snapshot at that step, child pid, its shared metric)
 
     @property
     def stopped(self) -> bool:
@@ -560,8 +502,8 @@ class _Evaluation:
         decisive = last_of_epoch or self.since_improved + 1 >= self.patience
         # a fork copies only the calling thread
         if self.fork and not decisive and threading.active_count() == 1:
-            self.pending = (step, self._snapshot(step),
-                            _ChildEval(self.model, self.data, self.val_idx))
+            snapshot = self._snapshot(step)
+            self.pending = (step, snapshot, *self._fork(snapshot))
             return
         t0 = time.perf_counter()
         metric = eval_metric(self.model, self.data, self.val_idx)
@@ -570,16 +512,58 @@ class _Evaluation:
                          and time.perf_counter() - t0 > FORK_MIN_EVAL_S)
         self._record(step, metric)
 
+    def _fork(self, snapshot):
+        """Score `snapshot` in a child; returns (its pid, the float it writes).
+
+        The child predicts serially, since the parent goes on training on the
+        other core, writes the metric into an 8-byte shared mapping and leaves
+        through `os._exit`, so no handler or buffer of the parent runs twice.
+        """
+        shared = mmap.mmap(-1, 8)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                global PREDICT_WORKERS
+                PREDICT_WORKERS = 1  # the child's own copy of the module
+                struct.pack_into("d", shared, 0, self._score(snapshot))
+                code = 0
+            finally:
+                os._exit(code)
+        return pid, shared
+
+    def _score(self, snapshot) -> float:
+        model = Model.from_arrays(self.model.encoder.config, self.model.subtask, snapshot[0])
+        return eval_metric(model, self.data, self.val_idx)
+
     def settle(self) -> None:
-        """Record the pending child's evaluation, waiting for it if need be."""
+        """Record the pending child's evaluation, waiting for it if need be.
+
+        A child that did not exit 0 (its evaluation raised, or it was killed)
+        is scored again here, on the snapshot it scored, so an evaluation
+        error is raised in this process with its own type.
+        """
         if self.pending is not None:
-            (step, snapshot, child), self.pending = self.pending, None
-            self._record(step, child.result(), snapshot)
+            step, snapshot, pid, shared = self.pending
+            status = os.waitpid(pid, 0)[1]
+            self.pending = None
+            with shared:
+                if status == 0:
+                    metric = struct.unpack("d", shared)[0]
+                else:
+                    logger.warning("evaluation child of step %d ended with wait status %d; "
+                                   "evaluating in process", step, status)
+                    metric = self._score(snapshot)
+            self._record(step, metric, snapshot)
 
     def close(self) -> None:
-        """Kill a child still evaluating because training raised."""
+        """Kill and reap a child still evaluating because training raised."""
         if self.pending is not None:
-            self.pending[2].close()
+            _, _, pid, shared = self.pending
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            shared.close()
+            self.pending = None
 
     def _snapshot(self, step: int):
         return {name: t.values.copy() for name, t in self.model.named().items()}, step
@@ -698,7 +682,7 @@ _PATH_KEYS = ("data_path", "negatives_path", "out_dir")
 
 def _write_checkpoint(path, config, data, groups, snapshot, fold, total_steps):
     values, step = snapshot
-    tensors = {name: ag.Tensor(arr, requires_grad=True) for name, arr in values.items()}
+    model = Model.from_arrays(config.encoder_config(len(data.vocab)), config.subtask, values)
     run_config = {k: v for k, v in config.to_dict().items() if k not in _PATH_KEYS}
     meta = {
         "run_config": run_config,
@@ -712,7 +696,7 @@ def _write_checkpoint(path, config, data, groups, snapshot, fold, total_steps):
             for g in groups
         ],
     }
-    save_checkpoint(path, config.encoder_config(len(data.vocab)), tensors, meta)
+    save_checkpoint(path, model.encoder.config, model.named(), meta)
 
 
 def file_sha256(path) -> str:
@@ -835,8 +819,8 @@ def load_model(ckpt_path):
             raise ConfigError(f"{ckpt_path}: checkpoint metadata has no {key!r}")
     subtask, d = meta["subtask"], enc_config.d_model
     width = HEAD_WIDTH.get(subtask)
-    shapes = param_shapes(enc_config)
-    expected = {**shapes, "classifier.weight": (width, d), "classifier.bias": (width,)}
+    expected = {**param_shapes(enc_config),
+                "classifier.weight": (width, d), "classifier.bias": (width,)}
     missing = [name for name in expected if name not in params]
     if missing:
         raise ConfigError(f"{ckpt_path}: checkpoint lacks {', '.join(missing)}")
@@ -853,9 +837,8 @@ def load_model(ckpt_path):
             raise ConfigError(
                 f"{ckpt_path}: {name} has shape {found}, but its config and subtask imply {shape}"
             )
-    encoder = EncoderParams(enc_config, {name: params[name] for name in shapes})
-    head = HeadParams(params["classifier.weight"], params["classifier.bias"])
-    return Model(encoder, head, subtask), Vocabulary(meta["vocab"]), meta
+    model = Model.from_arrays(enc_config, subtask, {n: t.values for n, t in params.items()})
+    return model, Vocabulary(meta["vocab"]), meta
 
 
 def predict_records(ckpt_path, records):

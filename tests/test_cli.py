@@ -174,6 +174,16 @@ def test_config_file_with_flag_override(corpus, tmp_path):
     assert meta["config"]["d_model"] == 16
 
 
+def test_a_config_file_that_sets_a_key_twice_is_refused(corpus, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data_path = {corpus}\nseed = 1\n# a comment\nseed = 2\n", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+    err = _one_line_error(capsys)
+    assert "seed" in err and "lines 2 and 4" in err, err
+    assert not out_dir.exists()
+
+
 def test_data_dir_env_var(corpus, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PCLDETECT_DATA_DIR", str(corpus.parent))
     code = main(["evaluate", "--gold", corpus.name, "--pred", corpus.name])

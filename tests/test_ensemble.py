@@ -25,6 +25,16 @@ def test_run_report_mean_validated():
         RunReport(13, (0.6, 0.7), 0.99, "x.npz")
 
 
+def test_run_report_without_fold_metrics_is_refused():
+    with pytest.raises(ContractError, match="at least one fold metric"):
+        RunReport.create(13, [], "x.npz")
+    with pytest.raises(ContractError, match="at least one fold metric"):
+        RunReport(13, (), 0.0, "x.npz")
+    text = '{"checkpoint": "x.npz", "fold_metrics": [], "mean_val": 0.0, "seed": 13}'
+    with pytest.raises(ContractError, match="at least one fold metric"):
+        RunReport.from_json(text)
+
+
 def test_run_report_json_round_trip():
     r = report(42, [0.5, 0.75, 0.625])
     assert RunReport.from_json(r.to_json()) == r
