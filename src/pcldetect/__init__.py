@@ -10,7 +10,6 @@ from .autograd import Tape, Tensor, backward
 from .data import ParagraphRecord, Vocabulary, stratified_kfold
 from .encoder import EncoderConfig, EncoderParams, encode, encode_batch, pooler
 from .ensemble import RunReport, select_top_k, vote_binary, vote_multilabel
-from .heads import HeadParams
 from .metrics import macro_f1, prf1_positive
 from .optim import AdamW, ParamGroup, ScheduleState, build_grouped_llrd, cosine_warmup_multiplier
 from .sampler import SampleWeights, class_ratios, draw_epoch, wrs_weights
@@ -22,7 +21,6 @@ __all__ = [
     "AdamW",
     "EncoderConfig",
     "EncoderParams",
-    "HeadParams",
     "ParagraphRecord",
     "ParamGroup",
     "RunConfig",

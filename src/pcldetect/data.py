@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError, StratificationError
-from .files import atomic_open
 
 RESERVED_TOKENS = ("[PAD]", "[CLS]", "[SEP]", "[UNK]", "<e>", "</e>")
 
@@ -111,15 +110,6 @@ class Vocabulary:
 
     def decode(self, ids) -> list[str]:
         return [self.tokens[i] for i in ids]
-
-    def save(self, path) -> None:
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.tokens) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls(fh.read().splitlines())
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int = 250) -> list[int]:

@@ -55,7 +55,7 @@ class EncoderConfig:
 
 
 def param_shapes(config: EncoderConfig) -> dict:
-    """Name -> shape of every encoder parameter, in the order `init` draws them."""
+    """Name -> shape of every encoder parameter, in the order they are drawn and stored."""
     d, f = config.d_model, config.d_ff
     shapes = {
         "embeddings.token": (config.vocab_size, d),
@@ -80,12 +80,26 @@ def param_shapes(config: EncoderConfig) -> dict:
     return shapes
 
 
-class EncoderParams:
-    """Named weight tensors for the encoder plus its pooler.
+def init_arrays(shapes: dict, rng: np.random.Generator) -> dict:
+    """Fresh values for a name -> shape table, drawn in its order: unit gains,
+    zero biases and normal(0, 0.02) weights, told apart by name suffix."""
 
-    Names follow the fixed scheme of `param_shapes` ("embeddings.*",
-    "layer.<i>.*", "pooler.*") that the optimizer's grouping keys on and
-    that a loaded checkpoint is checked against.
+    def fresh(name, shape):
+        if name.endswith(".gain"):
+            return np.ones(shape)
+        if name.endswith(".bias"):
+            return np.zeros(shape)
+        return rng.normal(0.0, INIT_STD, size=shape)
+
+    return {name: fresh(name, shape) for name, shape in shapes.items()}
+
+
+class EncoderParams:
+    """A name -> Tensor table of parameters plus the encoder config.
+
+    The encoder reads the names of `param_shapes` ("embeddings.*",
+    "layer.<i>.*", "pooler.*"), which the optimizer's grouping keys on; a
+    model's table also holds its classifier ("classifier.*").
     """
 
     def __init__(self, config: EncoderConfig, tensors: dict):
@@ -94,22 +108,6 @@ class EncoderParams:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
-
-    @classmethod
-    def init(cls, config: EncoderConfig, rng: np.random.Generator) -> "EncoderParams":
-        """Fresh parameters: normal(0, 0.02) weights, zero biases, unit gains."""
-
-        def fresh(name, shape):
-            if name.endswith(".gain"):
-                return np.ones(shape)
-            if name.endswith(".bias"):
-                return np.zeros(shape)
-            return rng.normal(0.0, INIT_STD, size=shape)
-
-        return cls(config, {
-            name: Tensor(fresh(name, shape), requires_grad=True)
-            for name, shape in param_shapes(config).items()
-        })
 
 
 def _linear(x: Tensor, params: EncoderParams, name: str) -> Tensor:
@@ -219,37 +217,36 @@ CHECKPOINT_VERSION = 3
 def save_checkpoint(
     path,
     config: EncoderConfig,
-    named_params: dict,
+    arrays: dict,
     meta: dict | None = None,
 ) -> None:
     """Write a bit-exact .npz dump of config, parameters and metadata.
 
-    `named_params` maps name -> Tensor for every trainable parameter
-    (encoder plus heads). A checkpoint is a best-validation snapshot, not a
-    resume point, so no optimizer state is stored. The file holds two
-    members: `header`, the sorted JSON header as UTF-8 bytes, and `params`,
-    every parameter flattened into one float64 array in `named_params`
-    order, which the header's `params` index lists as [name, shape].
-    Uncompressed npz keeps the file bytes a pure function of the content,
-    so equal runs hash identically.
+    `arrays` maps name -> array for every trainable parameter (encoder plus
+    heads). A checkpoint is a best-validation snapshot, not a resume point,
+    so no optimizer state is stored. The file holds two members: `header`,
+    the sorted JSON header as UTF-8 bytes, and `params`, every parameter
+    flattened into one float64 array in `arrays` order, which the header's
+    `params` index lists as [name, shape]. Uncompressed npz keeps the file
+    bytes a pure function of the content, so equal runs hash identically.
     """
     header = {
         "version": CHECKPOINT_VERSION,
         "encoder_config": config.to_dict(),
         "meta": meta or {},
-        "params": [[name, list(t.shape)] for name, t in named_params.items()],
+        "params": [[name, list(a.shape)] for name, a in arrays.items()],
     }
     text = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    flat = np.concatenate([t.values.ravel() for t in named_params.values()])
+    flat = np.concatenate([a.ravel() for a in arrays.values()])
     with atomic_open(path, "wb") as fh:
         np.savez(fh, header=np.frombuffer(text, dtype=np.uint8), params=flat)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (config, named_params, meta).
+    """Read a checkpoint; returns (config, name -> array, meta).
 
-    Each parameter is a view of the file's one `params` array. The header's
-    index is checked against that array before any parameter is built.
+    Each array is a view of the file's one `params` array. The header's
+    index is checked against that array before any view is taken.
     """
     try:
         with np.load(path) as data:
@@ -270,12 +267,12 @@ def load_checkpoint(path):
         config = EncoderConfig(**config)
     except TypeError:  # not a mapping, a field EncoderConfig lacks or needs, a mistyped value
         raise ConfigError(f"{path}: checkpoint encoder config {config!r} does not fit") from None
-    params, offset = {}, 0
+    arrays, offset = {}, 0
     for name, shape in _param_index(path, header.get("params"), flat):
         size = math.prod(shape)
-        params[name] = Tensor(flat[offset : offset + size].reshape(shape), requires_grad=True)
+        arrays[name] = flat[offset : offset + size].reshape(shape)
         offset += size
-    return config, params, meta
+    return config, arrays, meta
 
 
 def _param_index(path, index, flat) -> list:

@@ -9,34 +9,16 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import ContractError
 
-INIT_STD = 0.02
 
-
-class HeadParams:
-    """Dense layer (width x d_model) giving one logit per class.
+def logits(h: Tensor, params) -> Tensor:
+    """Class logits from the table's "classifier.weight" (width, d) and
+    "classifier.bias" (width,); works on (d,) or (batch, d).
 
     Width 2 for subtask 1, where index 1 is the positive class, and
     NUM_CATEGORIES for subtask 2.
     """
-
-    def __init__(self, weight: Tensor, bias: Tensor):
-        self.weight = weight
-        self.bias = bias
-
-    @classmethod
-    def init(cls, d_model: int, width: int, rng: np.random.Generator) -> "HeadParams":
-        return cls(
-            Tensor(rng.normal(0.0, INIT_STD, size=(width, d_model)), requires_grad=True),
-            Tensor(np.zeros(width), requires_grad=True),
-        )
-
-    def named(self) -> dict:
-        return {"classifier.weight": self.weight, "classifier.bias": self.bias}
-
-
-def logits(h: Tensor, head: HeadParams) -> Tensor:
-    """Class logits; works on (d,) or (batch, d)."""
-    return ag.linear(h, ag.transpose(head.weight, (1, 0)), head.bias)
+    return ag.linear(h, ag.transpose(params["classifier.weight"], (1, 0)),
+                     params["classifier.bias"])
 
 
 # both subtasks' names for the one logits function; the trainer calls it

@@ -40,6 +40,7 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     encode_batch,
+    init_arrays,
     load_checkpoint,
     param_shapes,
     pooler,
@@ -53,7 +54,6 @@ from .errors import (
 )
 from .files import atomic_open
 from .heads import (
-    HeadParams,
     bce_loss,
     binary_forward,
     binary_loss,
@@ -132,6 +132,14 @@ class RunConfig:
     def __post_init__(self):
         if self.subtask not in (1, 2):
             raise ConfigError(f"subtask must be 1 or 2, got {self.subtask}")
+        for name, value in (("seed", self.seed), ("fold_seed", self.fold_seed)):
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
+        finite = {"eta": self.eta, "lambda": self.lam, "head_multiplier": self.head_multiplier,
+                  "weight_decay": self.weight_decay}
+        for name, value in finite.items():
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         positive = {
             "batch_size": self.batch_size,
             "epochs": self.epochs,
@@ -283,14 +291,10 @@ def load_training_data(config: RunConfig) -> TrainingData:
         vectors = np.asarray(vector_list, dtype=np.float64)
     if not records:
         raise ConfigError(f"no training examples in {config.data_path}")
-    return build_training_data(records, np.asarray(binary), vectors, strat, config)
-
-
-def build_training_data(records, binary, vectors, strat, config: RunConfig) -> TrainingData:
     texts = [compose_input(r) for r in records]
     vocab = Vocabulary.build(texts)
     token_ids = [tokenize(t, vocab, config.max_len) for t in texts]
-    return TrainingData(list(records), token_ids, binary, vectors, list(strat), vocab)
+    return TrainingData(list(records), token_ids, np.asarray(binary), vectors, list(strat), vocab)
 
 
 def _dominant_categories(vector_list) -> list[int]:
@@ -312,29 +316,34 @@ def _dominant_categories(vector_list) -> list[int]:
 HEAD_WIDTH = {1: 2, 2: NUM_CATEGORIES}  # classifier logits per subtask
 
 
+def model_shapes(config: EncoderConfig, subtask: int) -> dict:
+    """Name -> shape of every parameter of a model, in the order they are
+    drawn and stored: the encoder's, then the subtask's classifier."""
+    width = HEAD_WIDTH[subtask]
+    return {**param_shapes(config),
+            "classifier.weight": (width, config.d_model), "classifier.bias": (width,)}
+
+
 @dataclass
 class Model:
-    encoder: EncoderParams
-    head: HeadParams
+    params: EncoderParams  # every name of `model_shapes`
     subtask: int
 
     @classmethod
     def from_arrays(cls, config: EncoderConfig, subtask: int, arrays: dict) -> "Model":
-        """A model over a name -> array mapping: a snapshot or a checkpoint's parameters."""
+        """A model over a name -> array mapping (fresh draws, a snapshot or a
+        checkpoint's views); the one place a model's Tensors are made."""
         tensors = {name: ag.Tensor(arrays[name], requires_grad=True)
-                   for name in [*param_shapes(config), "classifier.weight", "classifier.bias"]}
-        head = HeadParams(tensors.pop("classifier.weight"), tensors.pop("classifier.bias"))
-        return cls(EncoderParams(config, tensors), head, subtask)
+                   for name in model_shapes(config, subtask)}
+        return cls(EncoderParams(config, tensors), subtask)
 
     def named(self) -> dict:
-        params = dict(self.encoder.tensors)
-        params.update(self.head.named())
-        return params
+        return self.params.tensors
 
     def forward(self, ids, train=False, rng=None):
         """Class logits of either width (`binary_forward` is `multilabel_forward`)."""
-        h = pooler(encode_batch(self.encoder, ids, train=train, rng=rng), self.encoder)
-        return binary_forward(h, self.head)
+        h = pooler(encode_batch(self.params, ids, train=train, rng=rng), self.params)
+        return binary_forward(h, self.params)
 
     def loss(self, z, golds):
         return binary_loss(z, golds) if self.subtask == 1 else bce_loss(z, golds)
@@ -344,9 +353,9 @@ class Model:
 
 
 def build_model(config: RunConfig, vocab_size: int, rng: np.random.Generator) -> Model:
-    encoder = EncoderParams.init(config.encoder_config(vocab_size), rng)
-    head = HeadParams.init(config.d_model, HEAD_WIDTH[config.subtask], rng)
-    return Model(encoder, head, config.subtask)
+    encoder_config = config.encoder_config(vocab_size)
+    arrays = init_arrays(model_shapes(encoder_config, config.subtask), rng)
+    return Model.from_arrays(encoder_config, config.subtask, arrays)
 
 
 def build_groups(config: RunConfig, names):
@@ -360,10 +369,6 @@ def build_groups(config: RunConfig, names):
         head_multiplier=config.head_multiplier,
         weight_decay=config.weight_decay,
     )
-
-
-def build_optimizer(config: RunConfig, named: dict) -> AdamW:
-    return AdamW(build_groups(config, named), named)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +538,7 @@ class _Evaluation:
         return pid, shared
 
     def _score(self, snapshot) -> float:
-        model = Model.from_arrays(self.model.encoder.config, self.model.subtask, snapshot[0])
+        model = Model.from_arrays(self.model.params.config, self.model.subtask, snapshot[0])
         return eval_metric(model, self.data, self.val_idx)
 
     def settle(self) -> None:
@@ -602,7 +607,7 @@ def train_fold(
     init_ss, dropout_ss, order_ss = np.random.SeedSequence([config.seed, fold]).spawn(3)
     model = build_model(config, len(data.vocab), np.random.default_rng(init_ss))
     named = model.named()
-    optimizer = build_optimizer(config, named)
+    optimizer = AdamW(build_groups(config, named), named)
     dropout_rng = np.random.default_rng(dropout_ss)
     order_seeds = order_ss.spawn(config.epochs)
 
@@ -681,8 +686,7 @@ _PATH_KEYS = ("data_path", "negatives_path", "out_dir")
 
 
 def _write_checkpoint(path, config, data, groups, snapshot, fold, total_steps):
-    values, step = snapshot
-    model = Model.from_arrays(config.encoder_config(len(data.vocab)), config.subtask, values)
+    arrays, step = snapshot
     run_config = {k: v for k, v in config.to_dict().items() if k not in _PATH_KEYS}
     meta = {
         "run_config": run_config,
@@ -696,7 +700,7 @@ def _write_checkpoint(path, config, data, groups, snapshot, fold, total_steps):
             for g in groups
         ],
     }
-    save_checkpoint(path, model.encoder.config, model.named(), meta)
+    save_checkpoint(path, config.encoder_config(len(data.vocab)), arrays, meta)
 
 
 def file_sha256(path) -> str:
@@ -718,16 +722,13 @@ def make_folds(config: RunConfig, data: TrainingData) -> FoldAssignment:
 
 def _train_folds(config: RunConfig, run_dir, fold_numbers) -> list[FoldOutcome]:
     """Load the data, train each listed fold of its stratified assignment and
-    write vocab.txt and metadata.json beside the checkpoints."""
+    write metadata.json beside the checkpoints."""
     data = load_training_data(config)
     folds = make_folds(config, data)
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    data.vocab.save(run_dir / "vocab.txt")
     # train_fold is looked up at call time, so a caller may wrap it in this module
     outcomes = [train_fold(config, data, *folds.split(fold), fold, run_dir)
                 for fold in fold_numbers]
-    _write_metadata(run_dir, config, outcomes)
+    _write_metadata(Path(run_dir), config, outcomes)
     return outcomes
 
 
@@ -810,25 +811,29 @@ def load_model(ckpt_path):
     """Rebuild (model, vocab, meta) from a checkpoint file.
 
     Before anything is built, refuses a file whose metadata lacks the subtask
-    or the vocabulary, or whose parameter names and shapes differ from those
-    its encoder config and its subtask's head imply.
+    or the vocabulary or holds either mistyped, or whose parameter names and
+    shapes differ from the `model_shapes` of its encoder config and subtask.
     """
-    enc_config, params, meta = load_checkpoint(ckpt_path)
+    enc_config, arrays, meta = load_checkpoint(ckpt_path)
     for key in ("subtask", "vocab"):
         if key not in meta:
             raise ConfigError(f"{ckpt_path}: checkpoint metadata has no {key!r}")
-    subtask, d = meta["subtask"], enc_config.d_model
-    width = HEAD_WIDTH.get(subtask)
-    expected = {**param_shapes(enc_config),
-                "classifier.weight": (width, d), "classifier.bias": (width,)}
-    missing = [name for name in expected if name not in params]
+    subtask, tokens = meta["subtask"], meta["vocab"]
+    if type(subtask) is not int or subtask not in HEAD_WIDTH:
+        raise ConfigError(f"{ckpt_path}: checkpoint subtask {subtask!r} is not the integer 1 or 2")
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise ConfigError(f"{ckpt_path}: checkpoint vocab is not a list of strings")
+    vocab = Vocabulary(tokens)
+    expected = model_shapes(enc_config, subtask)
+    missing = [name for name in expected if name not in arrays]
     if missing:
         raise ConfigError(f"{ckpt_path}: checkpoint lacks {', '.join(missing)}")
-    extra = [name for name in params if name not in expected]
+    extra = [name for name in arrays if name not in expected]
     if extra:
         raise ConfigError(f"{ckpt_path}: checkpoint holds {', '.join(extra)}, unused by its config")
+    width, d = expected["classifier.weight"]
     for name, shape in expected.items():
-        found = params[name].shape
+        found = arrays[name].shape
         if name == "classifier.weight" and found[1:] == (d,) and found[0] != width:
             raise ConfigError(
                 f"{ckpt_path}: a {found[0]}-wide classifier does not fit subtask {subtask!r}"
@@ -837,14 +842,13 @@ def load_model(ckpt_path):
             raise ConfigError(
                 f"{ckpt_path}: {name} has shape {found}, but its config and subtask imply {shape}"
             )
-    model = Model.from_arrays(enc_config, subtask, {n: t.values for n, t in params.items()})
-    return model, Vocabulary(meta["vocab"]), meta
+    return Model.from_arrays(enc_config, subtask, arrays), vocab, meta
 
 
 def predict_records(ckpt_path, records):
     """Predict labels for paragraph records; returns (par_ids, labels)."""
     model, vocab, meta = load_model(ckpt_path)
-    max_len = model.encoder.config.max_len
+    max_len = model.params.config.max_len
     token_ids = [tokenize(compose_input(r), vocab, max_len) for r in records]
     flat = _predict_token_ids(model, token_ids, vocab.pad_id)
     if model.subtask == 1:

@@ -17,10 +17,9 @@ import pytest
 from pcldetect import autograd as ag
 from pcldetect.autograd import Tensor
 from pcldetect.data import stratified_kfold
-from pcldetect.encoder import EncoderConfig, EncoderParams, encode_batch, load_checkpoint, pooler
+from pcldetect.encoder import EncoderConfig, encode_batch, init_arrays, load_checkpoint, pooler
 from pcldetect.ensemble import RunReport, select_top_k, vote_binary, vote_multilabel
 from pcldetect.heads import (
-    HeadParams,
     bce_loss,
     binary_forward,
     binary_loss,
@@ -30,10 +29,11 @@ from pcldetect.metrics import f1_score, macro_average, macro_f1, prf1_positive
 from pcldetect.optim import ScheduleState, build_grouped_llrd, cosine_warmup_multiplier
 from pcldetect.sampler import draw_epoch, wrs_weights
 from pcldetect.trainer import (
-    HEAD_WIDTH,
+    Model,
     RunConfig,
     load_training_data,
     make_folds,
+    model_shapes,
     predict_records,
     train_fold,
 )
@@ -114,8 +114,8 @@ def _tiny_model(subtask, rng):
         vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ff=16,
         max_len=8, dropout_rate=0.0,
     )
-    params = EncoderParams.init(config, rng)
-    return params, HeadParams.init(config.d_model, HEAD_WIDTH[subtask], rng)
+    arrays = init_arrays(model_shapes(config, subtask), rng)
+    return Model.from_arrays(config, subtask, arrays).params
 
 
 def test_acceptance_gradient_suite():
@@ -127,25 +127,25 @@ def test_acceptance_gradient_suite():
             assert err < 1e-4, f"{name}: rel err {err}"
 
         # full mini encoder + binary head + loss on a 2-sample batch
-        params, head = _tiny_model(1, rng)
+        params = _tiny_model(1, rng)
         batch = np.array([[1, 5, 7, 9, 2, 0], [1, 6, 8, 2, 0, 0]])
 
         def binary_pipeline():
             h = pooler(encode_batch(params, batch), params)
-            return binary_loss(binary_forward(h, head), [1, 0])
+            return binary_loss(binary_forward(h, params), [1, 0])
 
-        tensors = list(params.tensors.values()) + [head.weight, head.bias]
+        tensors = list(params.tensors.values())
         err = check_gradients(binary_pipeline, tensors, floor=1e-6)
         assert err < 1e-4, f"binary pipeline rel err {err}"
 
-        params2, head2 = _tiny_model(2, rng)
+        params2 = _tiny_model(2, rng)
 
         def multilabel_pipeline():
             h = pooler(encode_batch(params2, batch), params2)
             golds = [[1, 0, 0, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0, 1]]
-            return bce_loss(multilabel_forward(h, head2), golds)
+            return bce_loss(multilabel_forward(h, params2), golds)
 
-        tensors2 = list(params2.tensors.values()) + [head2.weight, head2.bias]
+        tensors2 = list(params2.tensors.values())
         err = check_gradients(multilabel_pipeline, tensors2, floor=1e-6)
         assert err < 1e-4, f"multilabel pipeline rel err {err}"
 
@@ -207,7 +207,7 @@ def test_acceptance_degeneracy_bit_exact(tmp_path):
         _, params_a, _ = load_checkpoint(a.checkpoint_path)
         _, params_b, _ = load_checkpoint(b.checkpoint_path)
         for name in params_a:
-            assert params_a[name].values.tobytes() == params_b[name].values.tobytes(), name
+            assert params_a[name].tobytes() == params_b[name].tobytes(), name
 
 
 # --- 4. weighted sampler distribution ---------------------------------------

@@ -230,7 +230,7 @@ def test_kfold_with_a_class_smaller_than_k_fails_cleanly(tmp_path, capsys):
                  *TINY_FLAGS])
     assert code == 1
     _one_line_error(capsys)
-    assert not (out_dir / "vocab.txt").exists()
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -240,7 +240,14 @@ def test_kfold_with_a_class_smaller_than_k_fails_cleanly(tmp_path, capsys):
     ("--max-len 2", "max_len must allow"),
     ("--fold 3 --k-folds 3", "fold must be in [0, 3), got 3"),
     ("--k-folds 1", "k_folds must be at least 2, got 1"),
-], ids=["groups", "heads", "dropout", "max-len", "fold", "k-folds"])
+    ("--seed -1 --fold-seed 0", "seed must be non-negative, got -1"),
+    ("--fold-seed -2", "fold_seed must be non-negative, got -2"),
+    ("--eta nan", "eta must be finite, got nan"),
+    ("--lambda inf", "lambda must be finite, got inf"),
+    ("--head-multiplier nan", "head_multiplier must be finite, got nan"),
+    ("--weight-decay inf", "weight_decay must be finite, got inf"),
+], ids=["groups", "heads", "dropout", "max-len", "fold", "k-folds", "seed", "fold-seed", "eta",
+        "lambda", "head-multiplier", "weight-decay"])
 def test_more_groups_than_layers_is_refused_before_writing(tmp_path, capsys, flags, message):
     out_dir = tmp_path / "run"
     # a data file that does not exist shows that nothing was read
@@ -248,7 +255,7 @@ def test_more_groups_than_layers_is_refused_before_writing(tmp_path, capsys, fla
                  *flags.split()])
     assert code == 1
     assert message in _one_line_error(capsys)
-    assert not (out_dir / "vocab.txt").exists()
+    assert not out_dir.exists()
 
 
 def test_evaluate_refuses_a_duplicated_prediction_id(corpus, tmp_path, capsys):

@@ -115,18 +115,6 @@ def test_unknown_token_maps_to_unk():
     assert ids == [vocab.cls_id, vocab.unk_id, vocab.sep_id]
 
 
-def test_vocab_save_load_round_trip(tmp_path):
-    vocab = Vocabulary.build(["the quick brown fox", "the lazy dog"])
-    path = tmp_path / "vocab.txt"
-    vocab.save(path)
-    loaded = Vocabulary.load(path)
-    assert loaded.tokens == vocab.tokens
-    assert loaded.pad_id == 0 and loaded.cls_id == 1
-    assert [loaded.encode_token(t) for t in ("the", "fox")] == [
-        vocab.encode_token("the"), vocab.encode_token("fox")
-    ]
-
-
 def test_vocab_rejects_missing_reserved_prefix():
     with pytest.raises(ParseError):
         Vocabulary(["a", "b", "c"])

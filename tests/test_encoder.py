@@ -8,7 +8,9 @@ from pcldetect.encoder import (
     EncoderParams,
     encode,
     encode_batch,
+    init_arrays,
     load_checkpoint,
+    param_shapes,
     pooler,
     save_checkpoint,
 )
@@ -27,9 +29,14 @@ def small_config(**kw):
     return EncoderConfig(**defaults)
 
 
+def fresh_params(config, seed):
+    arrays = init_arrays(param_shapes(config), np.random.default_rng(seed))
+    return EncoderParams(config, {n: Tensor(a, requires_grad=True) for n, a in arrays.items()})
+
+
 @pytest.fixture()
 def params():
-    return EncoderParams.init(small_config(), np.random.default_rng(0))
+    return fresh_params(small_config(), 0)
 
 
 def test_config_validation():
@@ -90,7 +97,7 @@ def _padded_batch():
 
 @pytest.mark.parametrize("n_layers", [1, 3])
 def test_fused_encoder_matches_unfused_reference_in_eval(n_layers):
-    params = EncoderParams.init(small_config(n_layers=n_layers), np.random.default_rng(1))
+    params = fresh_params(small_config(n_layers=n_layers), 1)
     ids = _padded_batch()
     fused_sink, ref_sink = [], []
     fused = encode_batch(params, ids, attn_sink=fused_sink).values
@@ -102,7 +109,7 @@ def test_fused_encoder_matches_unfused_reference_in_eval(n_layers):
 
 @pytest.mark.parametrize("n_layers", [1, 3])
 def test_fused_encoder_matches_unfused_reference_in_train(n_layers):
-    params = EncoderParams.init(small_config(n_layers=n_layers), np.random.default_rng(2))
+    params = fresh_params(small_config(n_layers=n_layers), 2)
     ids = _padded_batch()
     mix = ag.constant(np.random.default_rng(3).normal(size=(3, 8)))
     tensors = [t for n, t in params.tensors.items() if not n.startswith("pooler.")]
@@ -193,18 +200,20 @@ def test_encoder_gradcheck_small(params):
 def test_checkpoint_round_trip_bit_exact(tmp_path, params):
     meta = {"subtask": 1, "note": "round trip", "schedule": {"snapshot_step": 7}}
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params.config, params.tensors, meta)
-    config2, tensors2, meta2 = load_checkpoint(path)
+    arrays = {name: t.values for name, t in params.tensors.items()}
+    save_checkpoint(path, params.config, arrays, meta)
+    config2, arrays2, meta2 = load_checkpoint(path)
     assert config2 == params.config
     assert meta2 == meta
-    assert set(tensors2) == set(params.tensors)
-    for name, t in params.tensors.items():
-        assert t.values.tobytes() == tensors2[name].values.tobytes()
+    assert list(arrays2) == list(arrays)
+    for name, a in arrays.items():
+        assert a.tobytes() == arrays2[name].tobytes()
     assert meta2["schedule"]["snapshot_step"] == 7
 
 
 def test_checkpoint_bytes_deterministic(tmp_path, params):
     p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
-    save_checkpoint(p1, params.config, params.tensors, {"k": 1})
-    save_checkpoint(p2, params.config, params.tensors, {"k": 1})
+    arrays = {name: t.values for name, t in params.tensors.items()}
+    save_checkpoint(p1, params.config, arrays, {"k": 1})
+    save_checkpoint(p2, params.config, arrays, {"k": 1})
     assert p1.read_bytes() == p2.read_bytes()

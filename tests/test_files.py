@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcldetect.encoder import EncoderConfig, EncoderParams, save_checkpoint
+from pcldetect.encoder import EncoderConfig, init_arrays, param_shapes, save_checkpoint
 from pcldetect.ensemble import write_predictions
 from pcldetect.files import atomic_open
 
@@ -29,7 +29,7 @@ def test_a_write_failing_midway_keeps_the_old_file(tmp_path):
 
 def test_a_failed_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
     config = EncoderConfig(vocab_size=8, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_len=8)
-    params = EncoderParams.init(config, np.random.default_rng(0)).tensors
+    params = init_arrays(param_shapes(config), np.random.default_rng(0))
 
     def savez_partly(fh, **arrays):
         fh.write(b"PK partial")

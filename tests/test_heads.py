@@ -6,9 +6,9 @@ import pytest
 from pcldetect import autograd as ag
 from pcldetect.autograd import Tape, Tensor, backward
 from pcldetect.data import NUM_CATEGORIES
+from pcldetect.encoder import init_arrays
 from pcldetect.errors import ContractError, NumericsError
 from pcldetect.heads import (
-    HeadParams,
     bce_loss,
     binary_forward,
     binary_loss,
@@ -20,9 +20,19 @@ from pcldetect.heads import (
 from gradcheck import check_gradients
 
 
+def head_shapes(d, width):
+    return {"classifier.weight": (width, d), "classifier.bias": (width,)}
+
+
+def fresh_head(d, width, rng):
+    """A classifier table as a model holds it, drawn by the model's init rule."""
+    return {name: Tensor(a, requires_grad=True)
+            for name, a in init_arrays(head_shapes(d, width), rng).items()}
+
+
 def zero_head(width, d=8):
-    return HeadParams(Tensor(np.zeros((width, d)), requires_grad=True),
-                      Tensor(np.zeros(width), requires_grad=True))
+    return {name: Tensor(np.zeros(shape), requires_grad=True)
+            for name, shape in head_shapes(d, width).items()}
 
 
 def loss_and_grad(loss_fn, z, golds):
@@ -35,11 +45,10 @@ def loss_and_grad(loss_fn, z, golds):
 
 def test_head_init_keeps_the_stored_layout_and_draws():
     for width in (2, NUM_CATEGORIES):
-        head = HeadParams.init(8, width, np.random.default_rng(0))
-        assert head.weight.shape == (width, 8) and head.bias.shape == (width,)
+        head = init_arrays(head_shapes(8, width), np.random.default_rng(0))
         expected = np.random.default_rng(0).normal(0.0, 0.02, size=(width, 8))
-        assert np.array_equal(head.weight.values, expected)
-        assert np.array_equal(head.bias.values, np.zeros(width))
+        assert np.array_equal(head["classifier.weight"], expected)
+        assert np.array_equal(head["classifier.bias"], np.zeros(width))
 
 
 def test_binary_forward_zero_params():
@@ -49,7 +58,7 @@ def test_binary_forward_zero_params():
 
 def test_binary_forward_analytic_logits():
     head = zero_head(2, d=1)
-    head.bias = Tensor(np.array([0.0, math.log(3.0)]), requires_grad=True)
+    head["classifier.bias"] = Tensor(np.array([0.0, math.log(3.0)]), requires_grad=True)
     out = binary_forward(Tensor(np.zeros(1)), head)
     assert np.array_equal(out.values, [0.0, math.log(3.0)])
     # the implied probability of the positive class is 3 / (1 + 3)
@@ -59,7 +68,7 @@ def test_binary_forward_analytic_logits():
 def test_binary_forward_sums_to_one():
     # the class probabilities implied by the loss sum to one for every row
     rng = np.random.default_rng(1)
-    head = HeadParams.init(8, 2, rng)
+    head = fresh_head(8, 2, rng)
     z = binary_forward(Tensor(rng.normal(size=(100, 8)) * 5), head).values
     for row in z:
         p0, p1 = (math.exp(-binary_loss(Tensor(row[None]), [c]).item()) for c in (0, 1))
@@ -68,10 +77,11 @@ def test_binary_forward_sums_to_one():
 
 def test_binary_argmax_invariant_to_logit_shift():
     rng = np.random.default_rng(2)
-    head = HeadParams.init(4, 2, rng)
+    head = fresh_head(4, 2, rng)
     h = Tensor(rng.normal(size=(20, 4)))
     base = predict_binary(binary_forward(h, head))
-    shifted = HeadParams(head.weight, ag.add(head.bias, ag.constant(np.full(2, 3.7))))
+    shifted = {**head, "classifier.bias": ag.add(head["classifier.bias"],
+                                                 ag.constant(np.full(2, 3.7)))}
     assert np.array_equal(base, predict_binary(binary_forward(h, shifted)))
 
 
@@ -110,7 +120,7 @@ def test_multilabel_forward_zero_params():
 
 def test_multilabel_threshold_gives_bits():
     rng = np.random.default_rng(4)
-    head = HeadParams.init(8, NUM_CATEGORIES, rng)
+    head = fresh_head(8, NUM_CATEGORIES, rng)
     z = multilabel_forward(Tensor(rng.normal(size=(5, 8))), head)
     bits = predict_multilabel(z)
     assert bits.shape == (5, 7)
@@ -121,12 +131,12 @@ def test_multilabel_threshold_gives_bits():
 
 def test_multilabel_bias_monotonicity():
     rng = np.random.default_rng(5)
-    head = HeadParams.init(8, NUM_CATEGORIES, rng)
+    head = fresh_head(8, NUM_CATEGORIES, rng)
     h = Tensor(rng.normal(size=8))
     base = multilabel_forward(h, head).values
-    bumped_bias = head.bias.values.copy()
+    bumped_bias = head["classifier.bias"].values.copy()
     bumped_bias[3] += 0.5
-    bumped = multilabel_forward(h, HeadParams(head.weight, Tensor(bumped_bias))).values
+    bumped = multilabel_forward(h, {**head, "classifier.bias": Tensor(bumped_bias)}).values
     assert bumped[3] > base[3]
     keep = np.arange(7) != 3
     assert np.array_equal(bumped[keep], base[keep])
@@ -236,23 +246,23 @@ def test_losses_and_predictions_reject_non_finite_logits(bad):
 
 def test_binary_loss_gradient_through_head():
     rng = np.random.default_rng(7)
-    head = HeadParams.init(6, 2, rng)
+    head = fresh_head(6, 2, rng)
     h = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     golds = [1, 0, 1]
 
     def loss():
         return binary_loss(binary_forward(h, head), golds)
 
-    assert check_gradients(loss, [h, head.weight, head.bias]) < 1e-5
+    assert check_gradients(loss, [h, *head.values()]) < 1e-5
 
 
 def test_bce_loss_gradient_through_head():
     rng = np.random.default_rng(8)
-    head = HeadParams.init(6, NUM_CATEGORIES, rng)
+    head = fresh_head(6, NUM_CATEGORIES, rng)
     h = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     golds = rng.integers(0, 2, size=(3, 7))
 
     def loss():
         return bce_loss(multilabel_forward(h, head), golds)
 
-    assert check_gradients(loss, [h, head.weight, head.bias]) < 1e-5
+    assert check_gradients(loss, [h, *head.values()]) < 1e-5

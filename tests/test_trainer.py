@@ -14,22 +14,22 @@ import numpy as np
 import pytest
 
 from pcldetect import trainer
-from pcldetect.autograd import Tape, Tensor, backward
+from pcldetect.autograd import Tape, backward
 from pcldetect.cli import main
 from pcldetect.data import Vocabulary, compose_input, pad_batch, tokenize
-from pcldetect.encoder import encode_batch, load_checkpoint, pooler, save_checkpoint
+from pcldetect.encoder import encode_batch, init_arrays, load_checkpoint, pooler, save_checkpoint
 from pcldetect.errors import (
     ConfigError,
     ContractError,
     NumericsError,
     TrainingDivergedError,
 )
-from pcldetect.heads import HeadParams
 from pcldetect.trainer import (
     RunConfig,
     build_model,
     file_sha256,
     lambda_sweep,
+    load_model,
     load_training_data,
     make_folds,
     predict_indices,
@@ -208,8 +208,8 @@ def test_run_kfold_writes_report_and_metadata(small_corpus, tmp_path):
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["config"]["resolved_lambda"] == 1.6
     assert len(meta["folds"]) == config.k_folds
-    assert (tmp_path / "vocab.txt").read_text().splitlines()[:4] == [
-        "[PAD]", "[CLS]", "[SEP]", "[UNK]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fold0.npz", "fold1.npz", "fold2.npz", "metadata.json", "report.json"
     ]
     for fold_meta in meta["folds"]:
         assert fold_meta["checkpoint_sha256"] == file_sha256(fold_meta["checkpoint"])
@@ -298,6 +298,10 @@ def test_training_step_tape_budget():
     assert len(tape) == 72
 
 
+def _arrays(model):
+    return {name: t.values for name, t in model.named().items()}
+
+
 def _mixed_label_model(small_corpus, subtask):
     config = tiny_config(small_corpus)
     data = load_training_data(config)
@@ -306,11 +310,13 @@ def _mixed_label_model(small_corpus, subtask):
     # move the head's decision threshold between the two middle rows, so
     # both labels occur and no row sits near the boundary
     ids = pad_batch(data.token_ids, pad_id=data.vocab.pad_id)
-    z = pooler(encode_batch(model.encoder, ids), model.encoder).values @ model.head.weight.values.T
+    params = model.params
+    z = pooler(encode_batch(params, ids), params).values @ params["classifier.weight"].values.T
     if subtask == 1:
         z = z[:, 1:] - z[:, :1]
     mid = len(z) // 2
-    model.head.bias.values[-z.shape[1]:] -= np.sort(z, axis=0)[mid - 1 : mid + 1].mean(axis=0)
+    params["classifier.bias"].values[-z.shape[1]:] -= (
+        np.sort(z, axis=0)[mid - 1 : mid + 1].mean(axis=0))
     return model, data
 
 
@@ -330,7 +336,7 @@ def test_length_sorted_prediction_keeps_input_order(small_corpus, subtask):
 def test_predict_records_keeps_input_order(small_corpus, tmp_path):
     model, data = _mixed_label_model(small_corpus, 1)
     path = tmp_path / "model.npz"
-    save_checkpoint(path, model.encoder.config, model.named(),
+    save_checkpoint(path, model.params.config, _arrays(model),
                     {"subtask": 1, "vocab": data.vocab.tokens})
     records = [data.records[i] for i in np.random.default_rng(5).permutation(len(data.records))]
     par_ids, labels = predict_records(path, records)
@@ -393,13 +399,13 @@ def test_numerics_error_in_a_helper_batch_reaches_the_caller(
     width = max(len(data.token_ids[i]) for i in caller_rows)
     assert max(len(data.token_ids[i]) for i in indices) > width
     # a position only the helper's longer rows reach: its attention scores turn NaN
-    model.encoder["embeddings.position"].values[width] = np.inf
+    model.params["embeddings.position"].values[width] = np.inf
     predict_indices(model, data, caller_rows)  # the caller's batch alone is finite
     with pytest.raises(NumericsError, match="attention scores"):
         predict_indices(model, data, indices)
 
     ckpt, tsv, out = tmp_path / "poisoned.npz", tmp_path / "data.tsv", tmp_path / "out.tsv"
-    save_checkpoint(ckpt, model.encoder.config, model.named(),
+    save_checkpoint(ckpt, model.params.config, _arrays(model),
                     {"subtask": 1, "vocab": data.vocab.tokens})
     write_binary_tsv(tsv, [data.records[i] for i in indices])
     code = main(["predict", "--checkpoint", str(ckpt), "--data", str(tsv), "--out", str(out)])
@@ -420,24 +426,36 @@ _WIDTH_MISMATCH = "a {width}-wide classifier does not fit subtask {subtask}"
     (1, 2, lambda params, meta: meta.pop("subtask"), "checkpoint metadata has no 'subtask'"),
     (1, 2, lambda params, meta: params.pop("pooler.dense.weight"),
      "checkpoint lacks pooler.dense.weight"),
-    (1, 2, lambda params, meta: params.update({"layer.0.attn.q.weight": Tensor(np.eye(3))}),
+    (1, 2, lambda params, meta: params.update({"layer.0.attn.q.weight": np.eye(3)}),
      "layer.0.attn.q.weight has shape (3, 3), but its config and subtask imply (16, 16)"),
-    (1, 2, lambda params, meta: params.update({"pooler.extra": Tensor(np.zeros(2))}),
+    (1, 2, lambda params, meta: params.update({"pooler.extra": np.zeros(2)}),
      "checkpoint holds pooler.extra, unused by its config"),
+    (1, 2, lambda params, meta: meta.update(subtask=[1]),
+     "checkpoint subtask [1] is not the integer 1 or 2"),
+    (1, 2, lambda params, meta: meta.update(subtask=True),
+     "checkpoint subtask True is not the integer 1 or 2"),
+    (1, 2, lambda params, meta: meta.update(subtask=1.0),
+     "checkpoint subtask 1.0 is not the integer 1 or 2"),
+    (1, 2, lambda params, meta: meta.update(vocab=5), "checkpoint vocab is not a list of strings"),
+    (1, 2, lambda params, meta: meta.update(vocab=None),
+     "checkpoint vocab is not a list of strings"),
 ], ids=["1-7", "2-2", "1-3", "2-3", "no-subtask", "no-pooler-weight", "q-weight-3x3",
-        "extra-parameter"])
+        "extra-parameter", "subtask-list", "subtask-true", "subtask-float", "vocab-int",
+        "vocab-null"])
 def test_predict_refuses_a_head_whose_width_does_not_fit_the_subtask(
     small_corpus, tmp_path, capsys, subtask, width, doctor, message
 ):
     config = tiny_config(small_corpus)
     data = load_training_data(config)
     model = build_model(config, len(data.vocab), np.random.default_rng(3))
-    model.head = HeadParams.init(config.d_model, width, np.random.default_rng(4))
-    params, meta = model.named(), {"subtask": subtask, "vocab": data.vocab.tokens}
+    params = _arrays(model)
+    head_shapes = {"classifier.weight": (width, config.d_model), "classifier.bias": (width,)}
+    params.update(init_arrays(head_shapes, np.random.default_rng(4)))
+    meta = {"subtask": subtask, "vocab": data.vocab.tokens}
     if doctor is not None:
         doctor(params, meta)
     ckpt, out = tmp_path / "doctored.npz", tmp_path / "out.tsv"
-    save_checkpoint(ckpt, model.encoder.config, params, meta)
+    save_checkpoint(ckpt, model.params.config, params, meta)
     code = main(["predict", "--checkpoint", str(ckpt), "--data", str(small_corpus),
                  "--out", str(out)])
     assert code == 1
@@ -453,7 +471,7 @@ def test_a_non_ascii_vocabulary_round_trips_through_a_checkpoint_and_predict(
     model, data = _mixed_label_model(small_corpus, 1)
     tokens = data.vocab.tokens[:-2] + ["café", "naïve"]
     ckpt = tmp_path / "model.npz"
-    save_checkpoint(ckpt, model.encoder.config, model.named(), {"subtask": 1, "vocab": tokens})
+    save_checkpoint(ckpt, model.params.config, _arrays(model), {"subtask": 1, "vocab": tokens})
     assert '"café", "naïve"'.encode("utf-8") in ckpt.read_bytes()  # the header is UTF-8 text
     assert load_checkpoint(ckpt)[2]["vocab"] == tokens
 
@@ -462,7 +480,7 @@ def test_a_non_ascii_vocabulary_round_trips_through_a_checkpoint_and_predict(
     write_binary_tsv(tsv, records)
     assert main(["predict", "--checkpoint", str(ckpt), "--data", str(tsv), "--out", str(out)]) == 0
     vocab = Vocabulary(tokens)
-    rows = [tokenize(compose_input(r), vocab, model.encoder.config.max_len) for r in records]
+    rows = [tokenize(compose_input(r), vocab, model.params.config.max_len) for r in records]
     assert all(vocab.encode_token("café") in ids and vocab.encode_token("naïve") in ids
                for ids in rows)
     labels = [int(model.predict(model.forward(pad_batch([ids], pad_id=vocab.pad_id)))[0])
@@ -485,6 +503,26 @@ def test_training_is_the_same_with_one_or_two_workers(small_corpus, tmp_path, mo
     one, two = outcomes
     assert len(one.history) > 1
     assert (one.history, one.best_step, one.losses) == (two.history, two.best_step, two.losses)
+
+
+@pytest.mark.parametrize("subtask", [1, 2])
+def test_one_layout_from_build_through_checkpoint_to_load(small_corpus, tmp_path, subtask):
+    path = small_corpus
+    if subtask == 2:
+        path = tmp_path / "cats.tsv"
+        write_category_tsv(path, synthetic_category_records(n=60, seed=3))
+    config = tiny_config(path, subtask=subtask, k_folds=2)
+    data = load_training_data(config)
+    built = [(name, t.shape) for name, t in
+             build_model(config, len(data.vocab), np.random.default_rng(0)).named().items()]
+    width = trainer.HEAD_WIDTH[subtask]
+    assert built[-2:] == [("classifier.weight", (width, 16)), ("classifier.bias", (width,))]
+    outcome = train_fold(config, data, *make_folds(config, data).split(0), 0, tmp_path)
+    with np.load(outcome.checkpoint_path) as saved:
+        index = json.loads(saved["header"].tobytes())["params"]
+    assert [(name, tuple(shape)) for name, shape in index] == built
+    loaded = load_model(outcome.checkpoint_path)[0]
+    assert [(name, t.shape) for name, t in loaded.named().items()] == built
 
 
 def test_checkpoint_bytes_do_not_depend_on_paths(small_corpus, tmp_path):
