@@ -13,7 +13,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     ContractError,
@@ -23,8 +22,7 @@ from .errors import (
     TapeReuseError,
 )
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class Tensor:
@@ -424,15 +422,15 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
+    """Gaussian error linear unit in BERT's tanh form: x * h, where
+    h = (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))) / 2 and 1 - tanh^2 = 4 h (1 - h)."""
     v = x.values
-    cdf = 0.5 * (1.0 + erf(v * _INV_SQRT2))
+    h = 0.5 * (1.0 + np.tanh(_SQRT_2_OVER_PI * (v + 0.044715 * v * v * v)))
 
     def bwd(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * v * v)
-        return (g * (cdf + v * pdf),)
+        return (g * (h + 2.0 * _SQRT_2_OVER_PI * v * h * (1.0 - h) * (1.0 + 3 * 0.044715 * v * v)),)
 
-    return _make(v * cdf, (x,), bwd)
+    return _make(v * h, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:

@@ -211,7 +211,7 @@ def pooler(h: Tensor, params: EncoderParams) -> Tensor:
 # checkpoint format
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(

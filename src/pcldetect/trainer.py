@@ -391,7 +391,7 @@ def _predict_token_ids(model: Model, token_ids, pad_id: int) -> np.ndarray:
     little, and the predictions are scattered back to input order. With w
     workers (one per core, at most PREDICT_WORKERS and one per batch), the
     calling thread computes batches 0, w, 2w, ... and helper thread k the
-    batches k, k+w, ...; numpy, BLAS and erf release the interpreter lock,
+    batches k, k+w, ...; numpy and BLAS release the interpreter lock,
     so the workers' batches overlap. Each batch is computed as a serial
     loop computes it.
     """
@@ -811,8 +811,9 @@ def load_model(ckpt_path):
     """Rebuild (model, vocab, meta) from a checkpoint file.
 
     Before anything is built, refuses a file whose metadata lacks the subtask
-    or the vocabulary or holds either mistyped, or whose parameter names and
-    shapes differ from the `model_shapes` of its encoder config and subtask.
+    or the vocabulary or holds either mistyped, whose vocabulary does not have
+    one token per embedding row, or whose parameter names and shapes differ
+    from the `model_shapes` of its encoder config and subtask.
     """
     enc_config, arrays, meta = load_checkpoint(ckpt_path)
     for key in ("subtask", "vocab"):
@@ -823,6 +824,9 @@ def load_model(ckpt_path):
         raise ConfigError(f"{ckpt_path}: checkpoint subtask {subtask!r} is not the integer 1 or 2")
     if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
         raise ConfigError(f"{ckpt_path}: checkpoint vocab is not a list of strings")
+    if len(tokens) != enc_config.vocab_size:
+        raise ConfigError(f"{ckpt_path}: checkpoint vocab holds {len(tokens)} tokens, but its "
+                          f"config has vocab_size {enc_config.vocab_size}")
     vocab = Vocabulary(tokens)
     expected = model_shapes(enc_config, subtask)
     missing = [name for name in expected if name not in arrays]

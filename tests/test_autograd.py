@@ -106,6 +106,18 @@ def test_tanh_and_gelu_gradients():
     assert check_gradients(lambda: ag.sigmoid(x).sum(), [x]) < 1e-6
 
 
+def test_gelu_values_are_the_tanh_form_near_the_erf_form():
+    xs = np.linspace(-8.0, 8.0, 641)
+    out = ag.gelu(Tensor(xs)).values
+    with mpmath.workdps(50):
+        c = mpmath.sqrt(2 / mpmath.pi)
+        a, points = mpmath.mpf("0.044715"), [mpmath.mpf(x) for x in xs]
+        tanh_form = np.array([float(x * (1 + mpmath.tanh(c * (x + a * x**3))) / 2) for x in points])
+        erf_form = np.array([float(x * (1 + mpmath.erf(x / mpmath.sqrt(2))) / 2) for x in points])
+    assert np.max(np.abs(out - tanh_form)) < 1e-14
+    assert np.max(np.abs(out - erf_form)) < 5e-4
+
+
 def test_layer_norm_moments():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(6, 32)) * 3 + 1)

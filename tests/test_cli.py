@@ -1,11 +1,16 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pcldetect
 from pcldetect.cli import build_parser, main
+from pcldetect.encoder import CHECKPOINT_VERSION
 from pcldetect.trainer import RunConfig
 
 from synthcorpus import (
@@ -438,7 +443,9 @@ def test_config_commands_have_one_flag_per_run_config_field():
     ("predict --checkpoint {array} --data {corpus} --out {out}",
      "{array}: not a pcldetect checkpoint"),
     ("predict --checkpoint {version2} --data {corpus} --out {out}",
-     "{version2}: checkpoint version 2; this pcldetect reads version 3"),
+     f"{{version2}}: checkpoint version 2; this pcldetect reads version {CHECKPOINT_VERSION}"),
+    ("predict --checkpoint {version3} --data {corpus} --out {out}",
+     f"{{version3}}: checkpoint version 3; this pcldetect reads version {CHECKPOINT_VERSION}"),
     ("predict --checkpoint {name_twice} --data {corpus} --out {out}",
      "{name_twice}: checkpoint parameter index names a twice"),
     ("predict --checkpoint {negative_dim} --data {corpus} --out {out}",
@@ -460,7 +467,8 @@ def test_config_commands_have_one_flag_per_run_config_field():
      "{latin1_preds}: line 2: not UTF-8 text"),
     ("train --data {corpus} --out-dir {file}", "File exists: '{file}'"),
 ], ids=["predict-out-dir", "predict-checkpoint-tsv", "predict-checkpoint-npy",
-        "predict-checkpoint-version-2", "predict-checkpoint-name-twice",
+        "predict-checkpoint-version-2", "predict-checkpoint-version-3",
+        "predict-checkpoint-name-twice",
         "predict-checkpoint-negative-dim", "predict-checkpoint-fractional-dim",
         "predict-checkpoint-sizes", "predict-checkpoint-unknown-field",
         "predict-checkpoint-2d-params", "checkpoint-dir",
@@ -476,6 +484,7 @@ def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_pat
     with open(paths["version2"], "wb") as fh:  # laid out as version 2 wrote it
         np.savez(fh, header=np.array(json.dumps({"version": 2})), **{"param/a": np.zeros(2)})
     for name, fields, size in [
+        ("version3", {"version": 3}, 2),  # laid out as version 3 wrote it, before the tanh GELU
         ("name_twice", {"params": [["a", [2]], ["a", [2]]]}, 4),
         ("negative_dim", {"params": [["a", [2]], ["b", [-2, 3]]]}, 2),
         ("fractional_dim", {"params": [["a", [1.5]]]}, 1),
@@ -483,8 +492,8 @@ def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_pat
         ("unknown_field", {"encoder_config": {"vocab_size": 8, "colour": 1}}, 2),
         ("two_d_params", {}, (1, 2)),
     ]:
-        header = json.dumps({"version": 3, "encoder_config": {"vocab_size": 8}, "meta": {},
-                             "params": [["a", [2]]], **fields})
+        header = json.dumps({"version": CHECKPOINT_VERSION, "encoder_config": {"vocab_size": 8},
+                             "meta": {}, "params": [["a", [2]]], **fields})
         paths[name] = tmp_path / f"{name}.npz"
         with open(paths[name], "wb") as fh:
             np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
@@ -498,3 +507,13 @@ def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_pat
     assert code == 1
     assert message.format(**paths) in _one_line_error(capsys)
     assert not paths["out"].exists() and not paths["run"].exists()
+
+
+def test_importing_pcldetect_loads_no_scipy():
+    code = ("import sys, pcldetect, pcldetect.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.dirname(os.path.dirname(pcldetect.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n", done.stdout

@@ -439,9 +439,13 @@ _WIDTH_MISMATCH = "a {width}-wide classifier does not fit subtask {subtask}"
     (1, 2, lambda params, meta: meta.update(vocab=5), "checkpoint vocab is not a list of strings"),
     (1, 2, lambda params, meta: meta.update(vocab=None),
      "checkpoint vocab is not a list of strings"),
+    (1, 2, lambda params, meta: meta["vocab"].append("unseen"),
+     "checkpoint vocab holds {longer} tokens, but its config has vocab_size {rows}"),
+    (1, 2, lambda params, meta: meta["vocab"].pop(),
+     "checkpoint vocab holds {shorter} tokens, but its config has vocab_size {rows}"),
 ], ids=["1-7", "2-2", "1-3", "2-3", "no-subtask", "no-pooler-weight", "q-weight-3x3",
         "extra-parameter", "subtask-list", "subtask-true", "subtask-float", "vocab-int",
-        "vocab-null"])
+        "vocab-null", "vocab-longer", "vocab-shorter"])
 def test_predict_refuses_a_head_whose_width_does_not_fit_the_subtask(
     small_corpus, tmp_path, capsys, subtask, width, doctor, message
 ):
@@ -451,7 +455,7 @@ def test_predict_refuses_a_head_whose_width_does_not_fit_the_subtask(
     params = _arrays(model)
     head_shapes = {"classifier.weight": (width, config.d_model), "classifier.bias": (width,)}
     params.update(init_arrays(head_shapes, np.random.default_rng(4)))
-    meta = {"subtask": subtask, "vocab": data.vocab.tokens}
+    meta = {"subtask": subtask, "vocab": list(data.vocab.tokens)}
     if doctor is not None:
         doctor(params, meta)
     ckpt, out = tmp_path / "doctored.npz", tmp_path / "out.tsv"
@@ -461,7 +465,9 @@ def test_predict_refuses_a_head_whose_width_does_not_fit_the_subtask(
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1, err
-    assert message.format(width=width, subtask=subtask) in err
+    rows = len(data.vocab)
+    assert message.format(width=width, subtask=subtask, rows=rows, longer=rows + 1,
+                          shorter=rows - 1) in err
     assert not out.exists()
 
 
