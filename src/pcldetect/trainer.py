@@ -13,13 +13,13 @@ import signal
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autograd as ag
+from . import blas
 from .autograd import Tape, backward, zero_grads
 from .data import (
     NUM_CATEGORIES,
@@ -74,13 +74,12 @@ from .sampler import draw_epoch, wrs_weights
 logger = logging.getLogger(__name__)
 
 EVAL_BATCH = 16
-# Prediction runs on at most this many threads. Two is what has been
-# measured; each thread's malloc arena keeps its own batch-sized heap.
-PREDICT_WORKERS = 2
-# A fold hands its periodic evaluations to a forked child when its first
-# evaluation took longer than this. Forking every evaluation slowed the
-# benchmark's subtask-2 folds, whose evaluations take about 17 ms, by 12%;
-# the subtask-1 folds' 450-650 ms evaluations gain.
+# A fold hands its periodic evaluations to a forked child, and lets its
+# in-process ones fork the prediction helper, when its first evaluation took
+# longer than this. Forking every evaluation slowed the benchmark's subtask-2
+# folds, whose evaluations take about 17 ms, by 12%, and forking the
+# prediction helper for each slowed them too; the subtask-1 folds' 450-650 ms
+# evaluations gain.
 FORK_MIN_EVAL_S = 0.05
 
 
@@ -384,53 +383,100 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _predict_token_ids(model: Model, token_ids, pad_id: int) -> np.ndarray:
+def _may_fork() -> bool:
+    """Whether a forked child would have a core of its own and be safe to
+    fork: a fork copies only the calling thread."""
+    return hasattr(os, "fork") and _cores() >= 2 and threading.active_count() == 1
+
+
+def _fork(work, size: int):
+    """Run `work(shared)` in a forked child; returns (its pid, `shared`).
+
+    `shared` is an anonymous mapping of `size` bytes that the child writes
+    its result into. The child leaves through `os._exit`, with status 0 only
+    if `work` returned, so no handler or buffer of this process runs twice.
+    """
+    shared = mmap.mmap(-1, size)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            work(shared)
+            code = 0
+        finally:
+            os._exit(code)
+    return pid, shared
+
+
+def _kill(pid: int, shared) -> None:
+    """Kill and reap a child of `_fork` and close its mapping."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    shared.close()
+
+
+def _predict_token_ids(model: Model, token_ids, pad_id: int, helper: bool = True) -> np.ndarray:
     """Hard predictions (eval mode) for id sequences, in input order.
 
     Rows are batched in order of token length (stable), so each batch pads
-    little, and the predictions are scattered back to input order. With w
-    workers (one per core, at most PREDICT_WORKERS and one per batch), the
-    calling thread computes batches 0, w, 2w, ... and helper thread k the
-    batches k, k+w, ...; numpy and BLAS release the interpreter lock,
-    so the workers' batches overlap. Each batch is computed as a serial
-    loop computes it.
+    little, and the predictions are scattered back to input order. With
+    `helper`, two or more batches and `_may_fork()`, a forked child computes
+    the odd batches and writes their labels as int8 into a shared mapping
+    while this process computes the even ones. A child that does not exit 0
+    has its batches computed again here, so an error is raised with its own
+    type. Each batch is computed as a serial loop computes it.
     """
     if not token_ids:
         raise ContractError("no examples to predict")
     order = np.argsort([len(t) for t in token_ids], kind="stable")
     starts = range(0, order.size, EVAL_BATCH)
-    workers = min(_cores(), PREDICT_WORKERS, len(starts))
+    labels = np.empty((order.size, *(() if model.subtask == 1 else (NUM_CATEGORIES,))), int)
 
-    def run(share):
-        out = []
+    def run(share, out):
         for start in share:
             ids = pad_batch(
                 [token_ids[i] for i in order[start : start + EVAL_BATCH]], pad_id=pad_id
             )
-            out.append(model.predict(model.forward(ids)))
-        return out
+            out[start : start + EVAL_BATCH] = model.predict(model.forward(ids))
 
-    batches = [None] * len(starts)
-    # no thread starts until a share is submitted, so one worker runs alone
-    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
-        helpers = [pool.submit(run, starts[k::workers]) for k in range(1, workers)]
-        batches[0::workers] = run(starts[0::workers])
-        for k, helper in enumerate(helpers, start=1):
-            batches[k::workers] = helper.result()
-    in_length_order = np.concatenate(batches)
-    preds = np.empty_like(in_length_order)
-    preds[order] = in_length_order
+    if helper and len(starts) >= 2 and _may_fork():
+        theirs = starts[1::2]
+        pid, shared = _fork(
+            lambda shared: run(theirs, np.frombuffer(shared, np.int8).reshape(labels.shape)),
+            labels.size,
+        )
+        try:
+            run(starts[0::2], labels)
+            status = os.waitpid(pid, 0)[1]
+        except BaseException:
+            _kill(pid, shared)
+            raise
+        with shared:
+            if status == 0:
+                done = np.frombuffer(shared, np.int8).reshape(labels.shape).copy()
+                for start in theirs:
+                    labels[start : start + EVAL_BATCH] = done[start : start + EVAL_BATCH]
+            else:
+                logger.warning("prediction helper ended with wait status %d; "
+                               "predicting its batches in process", status)
+                run(theirs, labels)
+    else:
+        run(starts, labels)
+    preds = np.empty_like(labels)
+    preds[order] = labels
     return preds
 
 
-def predict_indices(model: Model, data: TrainingData, indices) -> np.ndarray:
+def predict_indices(model: Model, data: TrainingData, indices, helper: bool = True) -> np.ndarray:
     """Hard predictions for a set of example indices (eval mode)."""
-    return _predict_token_ids(model, [data.token_ids[i] for i in indices], data.vocab.pad_id)
+    return _predict_token_ids(model, [data.token_ids[i] for i in indices], data.vocab.pad_id,
+                              helper)
 
 
-def eval_metric(model: Model, data: TrainingData, indices) -> float:
-    """Positive-class F1 (subtask 1) or macro F1 (subtask 2) on the given split."""
-    preds = predict_indices(model, data, indices)
+def eval_metric(model: Model, data: TrainingData, indices, helper: bool = True) -> float:
+    """Positive-class F1 (subtask 1) or macro F1 (subtask 2) on the given split;
+    `helper` as for `_predict_token_ids`."""
+    preds = predict_indices(model, data, indices, helper)
     if model.subtask == 1:
         golds = data.binary_labels[indices]
         return prf1_positive(preds.tolist(), golds.tolist())[2]
@@ -483,17 +529,17 @@ def _batch_golds(data: TrainingData, idx, subtask: int):
 class _Evaluation:
     """A fold's validation passes: history, best snapshot, patience and fork gate.
 
-    Once the first evaluation, timed in process, took over FORK_MIN_EVAL_S on
-    two or more cores, each that cannot end the fold is scored in a forked
-    child while training goes on, and recorded before the next starts or the
-    epoch ends.
+    Once the first evaluation, timed in process and serially, took over
+    FORK_MIN_EVAL_S, each that cannot end the fold is scored in a forked child
+    while training goes on, if `_may_fork()`, and recorded before the next
+    starts or the epoch ends; the others use the prediction helper.
     """
 
     def __init__(self, model: Model, data: TrainingData, val_idx, patience: int):
         self.model, self.data, self.val_idx, self.patience = model, data, val_idx, patience
         self.history: list = []  # [(step, metric), ...]
         self.best, self.best_step, self.snapshot, self.since_improved = -math.inf, -1, None, 0
-        self.fork = None  # whether evaluations may fork; None until the first is timed
+        self.fork = None  # whether evaluations are slow enough to fork; None until timed
         self.pending = None  # (step, snapshot at that step, child pid, its shared metric)
 
     @property
@@ -505,41 +551,25 @@ class _Evaluation:
         the fold's last), and one that could spend patience, run in process."""
         self.settle()
         decisive = last_of_epoch or self.since_improved + 1 >= self.patience
-        # a fork copies only the calling thread
-        if self.fork and not decisive and threading.active_count() == 1:
+        if self.fork and not decisive and _may_fork():
             snapshot = self._snapshot(step)
             self.pending = (step, snapshot, *self._fork(snapshot))
             return
         t0 = time.perf_counter()
-        metric = eval_metric(self.model, self.data, self.val_idx)
+        metric = eval_metric(self.model, self.data, self.val_idx, helper=bool(self.fork))
         if self.fork is None:
-            self.fork = (hasattr(os, "fork") and _cores() >= 2
-                         and time.perf_counter() - t0 > FORK_MIN_EVAL_S)
+            self.fork = time.perf_counter() - t0 > FORK_MIN_EVAL_S
         self._record(step, metric)
 
     def _fork(self, snapshot):
-        """Score `snapshot` in a child; returns (its pid, the float it writes).
-
-        The child predicts serially, since the parent goes on training on the
-        other core, writes the metric into an 8-byte shared mapping and leaves
-        through `os._exit`, so no handler or buffer of the parent runs twice.
-        """
-        shared = mmap.mmap(-1, 8)
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                global PREDICT_WORKERS
-                PREDICT_WORKERS = 1  # the child's own copy of the module
-                struct.pack_into("d", shared, 0, self._score(snapshot))
-                code = 0
-            finally:
-                os._exit(code)
-        return pid, shared
+        """Score `snapshot` in a child, which writes the metric as one float;
+        returns (its pid, the mapping)."""
+        return _fork(lambda shared: struct.pack_into("d", shared, 0, self._score(snapshot)), 8)
 
     def _score(self, snapshot) -> float:
+        """Score `snapshot` serially: a child's parent goes on training on the other core."""
         model = Model.from_arrays(self.model.params.config, self.model.subtask, snapshot[0])
-        return eval_metric(model, self.data, self.val_idx)
+        return eval_metric(model, self.data, self.val_idx, helper=False)
 
     def settle(self) -> None:
         """Record the pending child's evaluation, waiting for it if need be.
@@ -564,10 +594,7 @@ class _Evaluation:
     def close(self) -> None:
         """Kill and reap a child still evaluating because training raised."""
         if self.pending is not None:
-            _, _, pid, shared = self.pending
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            shared.close()
+            _kill(*self.pending[2:])
             self.pending = None
 
     def _snapshot(self, step: int):
@@ -584,6 +611,7 @@ class _Evaluation:
             self.since_improved += 1
 
 
+@blas.one_thread()
 def train_fold(
     config: RunConfig,
     data: TrainingData,
@@ -849,6 +877,7 @@ def load_model(ckpt_path):
     return Model.from_arrays(enc_config, subtask, arrays), vocab, meta
 
 
+@blas.one_thread()
 def predict_records(ckpt_path, records):
     """Predict labels for paragraph records; returns (par_ids, labels)."""
     model, vocab, meta = load_model(ckpt_path)

@@ -67,11 +67,11 @@ def test_softmax_survives_large_inputs():
 
 
 def test_softmax_matches_extended_precision():
-    mpmath.mp.dps = 50
     xs = [1.0, 2.0, 3.0]
-    exps = [mpmath.exp(x - max(xs)) for x in xs]
-    total = sum(exps)
-    expected = np.array([float(e / total) for e in exps])
+    with mpmath.workdps(50):
+        exps = [mpmath.exp(x - max(xs)) for x in xs]
+        total = sum(exps)
+        expected = np.array([float(e / total) for e in exps])
     out = ag.softmax(Tensor(xs))
     assert np.max(np.abs(out.values - expected)) < 1e-12
 

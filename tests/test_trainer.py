@@ -5,7 +5,6 @@ import math
 import os
 import shutil
 import signal
-import sys
 import threading
 import time
 from pathlib import Path
@@ -13,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcldetect import trainer
+from pcldetect import blas, trainer
 from pcldetect.autograd import Tape, backward
 from pcldetect.cli import main
 from pcldetect.data import Vocabulary, compose_input, pad_batch, tokenize
@@ -361,30 +360,82 @@ def _serial_predictions(model, data, indices):
     return preds
 
 
+def _all_forks(monkeypatch):
+    """Count the children `os.fork` starts from here on; returns their pids."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
 @pytest.mark.parametrize("subtask", [1, 2])
-def test_threaded_prediction_equals_a_serial_loop(small_corpus, subtask, monkeypatch):
+def test_forked_prediction_equals_a_serial_loop(small_corpus, subtask, monkeypatch):
     model, data = _mixed_label_model(small_corpus, subtask)
     indices = np.random.default_rng(6).permutation(len(data.token_ids))
-    assert len(indices) > 2 * trainer.EVAL_BATCH  # both workers get several batches
+    assert len(indices) > 4 * trainer.EVAL_BATCH  # each process gets several batches
     serial = _serial_predictions(model, data, indices)
-    for cores in (1, 2):
+    forks = _all_forks(monkeypatch)
+    for cores, children in ((1, 0), (2, 1), (8, 1)):
         monkeypatch.setattr(trainer, "_cores", lambda: cores)
+        forks.clear()
         assert np.array_equal(predict_indices(model, data, indices), serial)
-    # more cores than PREDICT_WORKERS: still that many threads
-    monkeypatch.setattr(trainer, "_cores", lambda: 8)
-    threads, forward = set(), model.forward
-    monkeypatch.setattr(model, "forward",
-                        lambda ids: threads.add(threading.get_ident()) or forward(ids))
+        assert len(forks) == children
+        # one batch, or no helper asked for: nothing forks
+        assert np.array_equal(predict_indices(model, data, indices[: trainer.EVAL_BATCH]),
+                              serial[: trainer.EVAL_BATCH])
+        assert np.array_equal(predict_indices(model, data, indices, helper=False), serial)
+        assert len(forks) == children
+
+
+@pytest.mark.parametrize("death", ["exit 3", "SIGKILL"])
+def test_a_prediction_helper_that_dies_has_its_batches_computed_again(small_corpus, monkeypatch,
+                                                                      death):
+    monkeypatch.setattr(trainer, "_cores", lambda: 2)
+    model, data = _mixed_label_model(small_corpus, 1)
+    indices = np.random.default_rng(7).permutation(len(data.token_ids))
+    serial = _serial_predictions(model, data, indices)
+
+    parent, forward = os.getpid(), model.forward
+
+    def forward_or_die(ids):
+        if os.getpid() != parent:  # the helper
+            if death == "exit 3":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return forward(ids)
+
+    monkeypatch.setattr(model, "forward", forward_or_die)
+    forks = _all_forks(monkeypatch)
     assert np.array_equal(predict_indices(model, data, indices), serial)
-    assert len(threads) == trainer.PREDICT_WORKERS == 2
-    # five workers, switching threads as often as the interpreter can
-    monkeypatch.setattr(trainer, "PREDICT_WORKERS", 5)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert np.array_equal(predict_indices(model, data, indices), serial)
-    finally:
-        sys.setswitchinterval(interval)
+    assert len(forks) == 1
+
+
+def test_a_raise_in_the_caller_kills_the_prediction_helper(small_corpus, monkeypatch):
+    monkeypatch.setattr(trainer, "_cores", lambda: 2)
+    model, data = _mixed_label_model(small_corpus, 1)
+    parent, forward = os.getpid(), model.forward
+
+    def forward_or_raise(ids):
+        if os.getpid() == parent:
+            raise KeyError("injected")
+        time.sleep(60)  # the helper, until it is killed
+        return forward(ids)
+
+    monkeypatch.setattr(model, "forward", forward_or_raise)
+    forks = _all_forks(monkeypatch)
+    started = time.monotonic()
+    with pytest.raises(KeyError, match="injected"):
+        predict_indices(model, data, range(len(data.token_ids)))
+    assert time.monotonic() - started < 30
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # killed and reaped
+        os.waitpid(forks[0], os.WNOHANG)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -413,6 +464,36 @@ def test_numerics_error_in_a_helper_batch_reaches_the_caller(
     err = capsys.readouterr().err
     assert err.startswith("error: attention scores") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.skipif(blas.threads() is None, reason="numpy does not use its bundled OpenBLAS")
+def test_blas_keeps_one_thread_in_training_and_prediction(small_corpus, tmp_path, monkeypatch):
+    model, data = _mixed_label_model(small_corpus, 1)
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(ckpt, model.params.config, _arrays(model),
+                    {"subtask": 1, "vocab": data.vocab.tokens})
+    config = tiny_config(small_corpus, epochs=1)
+    seen, forward = [], trainer.Model.forward
+
+    def recording(self, ids, **kwargs):
+        seen.append(blas.threads())
+        if kwargs.get("train") and len(seen) > 5:
+            raise KeyError("injected")
+        return forward(self, ids, **kwargs)
+
+    monkeypatch.setattr(trainer.Model, "forward", recording)
+    get, set_ = blas._thread_count_calls()
+    before = get()
+    set_(2)
+    try:
+        predict_records(ckpt, data.records)
+        assert (set(seen), get()) == ({1}, 2)
+        seen.clear()
+        with pytest.raises(KeyError, match="injected"):
+            train_fold(config, data, *make_folds(config, data).split(0), 0, tmp_path / "fold")
+        assert (len(seen), set(seen), get()) == (6, {1}, 2)
+    finally:
+        set_(before)
 
 
 _WIDTH_MISMATCH = "a {width}-wide classifier does not fit subtask {subtask}"
@@ -501,7 +582,7 @@ def test_training_is_the_same_with_one_or_two_workers(small_corpus, tmp_path, mo
     config = tiny_config(small_corpus, epochs=2)
     data = load_training_data(config)
     train_idx, val_idx = make_folds(config, data).split(0)
-    assert len(val_idx) > trainer.EVAL_BATCH  # evaluation uses both workers
+    assert len(val_idx) > trainer.EVAL_BATCH  # evaluation has two or more batches
     outcomes = []
     for cores in (1, 2):
         monkeypatch.setattr(trainer, "_cores", lambda: cores)
@@ -549,18 +630,18 @@ def test_checkpoint_bytes_do_not_depend_on_paths(small_corpus, tmp_path):
 
 
 def _fork_counter(monkeypatch):
-    """Let every evaluation that may fork do so; returns the forked pids."""
+    """Let every evaluation that may fork do so; returns the pids of the
+    evaluation children (prediction helpers are not counted)."""
     monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", 0.0)
     monkeypatch.setattr(trainer, "_cores", lambda: 2)
-    forks, fork = [], os.fork
+    forks, fork = [], trainer._Evaluation._fork
 
-    def counting():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
+    def counting(self, snapshot):
+        pid, shared = fork(self, snapshot)
+        forks.append(pid)
+        return pid, shared
 
-    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(trainer._Evaluation, "_fork", counting)
     return forks
 
 
@@ -568,10 +649,10 @@ def _in_child(action, monkeypatch):
     """Run `action(model)` before evaluating, in forked children only."""
     parent, inner = os.getpid(), trainer.eval_metric
 
-    def eval_metric(model, data, indices):
+    def eval_metric(model, data, indices, **kwargs):
         if os.getpid() != parent:
             action(model)
-        return inner(model, data, indices)
+        return inner(model, data, indices, **kwargs)
 
     monkeypatch.setattr(trainer, "eval_metric", eval_metric)
 
@@ -680,12 +761,12 @@ def test_an_error_that_does_not_pickle_reaches_the_caller_as_itself(small_corpus
 
     error, evaluated, inner = LocalError("bad"), [], trainer.eval_metric
 
-    def eval_metric(model, data, indices):
+    def eval_metric(model, data, indices, **kwargs):
         """The first evaluation, which is timed in process, passes; every other raises."""
         if evaluated:
             raise error
         evaluated.append(True)
-        return inner(model, data, indices)
+        return inner(model, data, indices, **kwargs)
 
     forks = _fork_counter(monkeypatch)
     monkeypatch.setattr(trainer, "eval_metric", eval_metric)
