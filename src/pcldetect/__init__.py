@@ -8,7 +8,7 @@ selection and seed-ensemble voting.
 
 from .autograd import Tape, Tensor, backward
 from .data import ParagraphRecord, Vocabulary, stratified_kfold
-from .encoder import EncoderConfig, EncoderParams, encode, encode_batch, pooler
+from .encoder import EncoderConfig, EncoderParams, encode_batch, pooler
 from .ensemble import RunReport, select_top_k, vote_binary, vote_multilabel
 from .metrics import macro_f1, prf1_positive
 from .optim import AdamW, ParamGroup, ScheduleState, build_grouped_llrd, cosine_warmup_multiplier
@@ -35,7 +35,6 @@ __all__ = [
     "class_ratios",
     "cosine_warmup_multiplier",
     "draw_epoch",
-    "encode",
     "encode_batch",
     "macro_f1",
     "pooler",

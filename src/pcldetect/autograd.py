@@ -58,15 +58,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
 
 def constant(values) -> Tensor:
     """Wrap raw data as a non-differentiable tensor."""
@@ -279,21 +270,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g2, a.shape).copy(),)
 
     return _make(a.values.sum(axis=axis, keepdims=keepdims), (a,), bwd)
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.values.size
-    else:
-        count = a.shape[axis]
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2 / count, a.shape).copy(),)
-
-    return _make(a.values.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

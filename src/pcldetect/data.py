@@ -108,9 +108,6 @@ class Vocabulary:
     def encode_token(self, token: str) -> int:
         return self._ids.get(token, self.unk_id)
 
-    def decode(self, ids) -> list[str]:
-        return [self.tokens[i] for i in ids]
-
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int = 250) -> list[int]:
     """Wrap with [CLS]/[SEP] and cap the total length at max_len.
@@ -192,9 +189,9 @@ def text_lines(path):
             yield lineno, line.rstrip("\n")
 
 
-def _read_rows(path, expected_cols: int, has_header: bool):
+def _read_rows(path, expected_cols: int):
     for lineno, line in text_lines(path):
-        if not line or (lineno == 1 and has_header):
+        if not line:
             continue
         cells = line.split("\t")
         if len(cells) != expected_cols:
@@ -205,66 +202,48 @@ def _read_rows(path, expected_cols: int, has_header: bool):
         yield lineno, cells
 
 
-def _column_order(columns, default):
-    columns = tuple(columns) if columns is not None else default
-    if sorted(columns) != sorted(default):
-        raise ConfigError(f"columns must be a permutation of {default}")
-    return {name: i for i, name in enumerate(columns)}
-
-
-def load_subtask1_tsv(path, has_header: bool = False, columns=None) -> list[ParagraphRecord]:
-    """Load labeled paragraphs: par_id, art_id, keyword, country, text, label."""
-    order = _column_order(columns, SUBTASK1_COLUMNS)
+def load_subtask1_tsv(path) -> list[ParagraphRecord]:
+    """Load labeled paragraphs from a headerless file in SUBTASK1_COLUMNS order."""
     records = []
-    for lineno, cells in _read_rows(path, len(order), has_header):
+    for lineno, (par_id, art_id, keyword, country, text, label) in _read_rows(
+        path, len(SUBTASK1_COLUMNS)
+    ):
         try:
-            raw = int(cells[order["label"]])
+            raw = int(label)
         except ValueError:
-            raise ParseError(
-                f"{path}: line {lineno}: label {cells[order['label']]!r} is not an integer"
-            ) from None
+            raise ParseError(f"{path}: line {lineno}: label {label!r} is not an integer") from None
         try:
             records.append(
-                ParagraphRecord(
-                    par_id=cells[order["par_id"]],
-                    art_id=cells[order["art_id"]],
-                    keyword=cells[order["keyword"]],
-                    country=cells[order["country"]],
-                    text=cells[order["text"]],
-                    raw_label=raw,
-                )
+                ParagraphRecord(par_id=par_id, art_id=art_id, keyword=keyword,
+                                country=country, text=text, raw_label=raw)
             )
         except ParseError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return records
 
 
-def load_subtask2_labels(path, has_header: bool = False, columns=None) -> list[ParagraphRecord]:
+def load_subtask2_labels(path) -> list[ParagraphRecord]:
     """Load category spans and OR-aggregate them into per-paragraph 7-bit vectors.
 
-    One input row per (paragraph, category); duplicate categories set the same
-    bit once. Returns one record per paragraph in first-seen order.
+    The file is headerless, in SUBTASK2_COLUMNS order, one row per
+    (paragraph, category); duplicate categories set the same bit once.
+    Returns one record per paragraph in first-seen order.
     """
-    order = _column_order(columns, SUBTASK2_COLUMNS)
     cat_index = {name: i for i, name in enumerate(CATEGORIES)}
     rows: dict[str, dict] = {}
     bits: dict[str, list[int]] = {}
-    for lineno, cells in _read_rows(path, len(order), has_header):
-        category = cells[order["category"]].strip()
+    for lineno, (par_id, art_id, text, keyword, country, category) in _read_rows(
+        path, len(SUBTASK2_COLUMNS)
+    ):
+        category = category.strip()
         if category not in cat_index:
             raise ParseError(
                 f"{path}: line {lineno}: unknown category {category!r}; "
                 f"expected one of {list(CATEGORIES)}"
             )
-        par_id = cells[order["par_id"]]
         if par_id not in rows:
-            rows[par_id] = {
-                "par_id": par_id,
-                "art_id": cells[order["art_id"]],
-                "keyword": cells[order["keyword"]],
-                "country": cells[order["country"]],
-                "text": cells[order["text"]],
-            }
+            rows[par_id] = dict(par_id=par_id, art_id=art_id, keyword=keyword,
+                                country=country, text=text)
             bits[par_id] = [0] * NUM_CATEGORIES
         bits[par_id][cat_index[category]] = 1
     return [

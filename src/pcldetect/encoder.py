@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -187,21 +188,6 @@ def encode_batch(
     return ag.select(x, 0, axis=1)  # (b, d_model) at the [CLS] position
 
 
-def encode(
-    params: EncoderParams,
-    tokens,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-    attn_sink: list | None = None,
-) -> Tensor:
-    """Encode one already-wrapped token id sequence into a (d_model,) vector."""
-    ids = np.asarray(tokens, dtype=np.intp)
-    if ids.ndim != 1:
-        raise ContractError(f"encode expects a 1-d token sequence, got shape {ids.shape}")
-    h = encode_batch(params, ids[None, :], train=train, rng=rng, attn_sink=attn_sink)
-    return ag.select(h, 0, axis=0)
-
-
 def pooler(h: Tensor, params: EncoderParams) -> Tensor:
     """Dense + tanh transform of the [CLS] representation; output in (-1, 1)."""
     return ag.tanh(_linear(h, params, "pooler.dense"))
@@ -249,7 +235,8 @@ def load_checkpoint(path):
     index is checked against that array before any view is taken.
     """
     try:
-        with np.load(path) as data:
+        # opened here, because np.load leaves a file it opened itself open on a bad zip
+        with open(path, "rb") as fh, np.load(fh) as data:
             raw = data["header"]
             # a version-2 header is a numpy unicode string, read only to name its version
             text = str(raw) if raw.dtype.kind == "U" else raw.tobytes().decode("utf-8")
@@ -257,7 +244,8 @@ def load_checkpoint(path):
             version = header["version"]
             if version == CHECKPOINT_VERSION:
                 flat, config, meta = data["params"], header["encoder_config"], dict(header["meta"])
-    except (ValueError, TypeError, KeyError):  # not numpy data, a bare array, no header or params
+    # not numpy data, a bare array, no header or params; a truncated, empty or damaged zip
+    except (ValueError, TypeError, KeyError, zipfile.BadZipFile, EOFError, NotImplementedError):
         raise ConfigError(f"{path}: not a pcldetect checkpoint") from None
     if version != CHECKPOINT_VERSION:
         raise ConfigError(

@@ -15,10 +15,6 @@ class ConfusionCounts:
     fn: int
     tn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def confusion(preds, golds) -> ConfusionCounts:
     preds, golds = list(preds), list(golds)

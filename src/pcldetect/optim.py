@@ -274,10 +274,3 @@ class AdamW:
             "m": {n: a.copy() for n, a in self._m.items()},
             "v": {n: a.copy() for n, a in self._v.items()},
         }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Copy saved moments into the flat buffers; parameters stay views."""
-        self.step_count = int(state["step_count"])
-        for n in self._m:
-            self._m[n][...] = state["m"][n]
-            self._v[n][...] = state["v"][n]

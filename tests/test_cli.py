@@ -458,6 +458,12 @@ def test_config_commands_have_one_flag_per_run_config_field():
      "{unknown_field}: checkpoint encoder config"),
     ("predict --checkpoint {two_d_params} --data {corpus} --out {out}",
      "{two_d_params}: checkpoint params are float64 of shape (1, 2), not a 1-d float64 array"),
+    ("predict --checkpoint {truncated} --data {corpus} --out {out}",
+     "{truncated}: not a pcldetect checkpoint"),
+    ("predict --checkpoint {flipped} --data {corpus} --out {out}",
+     "{flipped}: not a pcldetect checkpoint"),
+    ("predict --checkpoint {empty} --data {corpus} --out {out}",
+     "{empty}: not a pcldetect checkpoint"),
     ("predict --checkpoint {dir} --data {corpus} --out {out}", "Is a directory: '{dir}'"),
     ("train --data {dir} --out-dir {run}", "Is a directory: '{dir}'"),
     ("train --config {dir} --out-dir {run}", "Is a directory: '{dir}'"),
@@ -471,7 +477,8 @@ def test_config_commands_have_one_flag_per_run_config_field():
         "predict-checkpoint-name-twice",
         "predict-checkpoint-negative-dim", "predict-checkpoint-fractional-dim",
         "predict-checkpoint-sizes", "predict-checkpoint-unknown-field",
-        "predict-checkpoint-2d-params", "checkpoint-dir",
+        "predict-checkpoint-2d-params", "predict-checkpoint-truncated",
+        "predict-checkpoint-flipped-byte", "predict-checkpoint-empty", "checkpoint-dir",
         "data-dir", "config-dir", "data-not-utf8", "evaluate-not-utf8", "ensemble-not-utf8",
         "out-dir-is-a-file"])
 def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_path, capsys,
@@ -498,6 +505,14 @@ def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_pat
         with open(paths[name], "wb") as fh:
             np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
                      params=np.zeros(size))
+    whole = paths["two_d_params"].read_bytes()
+    flipped = bytearray(whole)
+    # the first byte of params' values: numpy pads a short .npy header to 128 bytes
+    flipped[whole.index(b"\x93NUMPY", whole.index(b"params.npy")) + 128] ^= 0xFF
+    for name, damaged in [("truncated", whole[: len(whole) // 2]), ("flipped", flipped),
+                          ("empty", b"")]:
+        paths[name] = tmp_path / f"{name}.npz"
+        paths[name].write_bytes(damaged)
     paths["dir"].mkdir()
     paths["file"].write_text("not a directory\n", encoding="utf-8")
     first_row = corpus.read_bytes().splitlines(keepends=True)[0]
@@ -511,6 +526,7 @@ def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_pat
 
 def test_importing_pcldetect_loads_no_scipy():
     code = ("import sys, pcldetect, pcldetect.cli; "
+            "assert all(hasattr(pcldetect, name) for name in pcldetect.__all__); "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     src = os.path.dirname(os.path.dirname(pcldetect.__file__))
     env = {**os.environ, "PYTHONPATH": src}

@@ -106,7 +106,7 @@ def test_tokenize_round_trip():
     text = "<e> homeless </e> <e> gb </e> He helped, truly."
     vocab = Vocabulary.build([text])
     ids = tokenize(text, vocab)
-    assert vocab.decode(ids)[1:-1] == word_tokens(text)
+    assert [vocab.tokens[i] for i in ids[1:-1]] == word_tokens(text)
 
 
 def test_unknown_token_maps_to_unk():
@@ -196,20 +196,6 @@ def test_load_subtask1(tmp_path):
     assert records[0].keyword == "homeless"
     assert records[0].raw_label == 2
     assert records[1].raw_label == 0
-
-
-def test_load_subtask1_header_and_columns(tmp_path):
-    path = tmp_path / "train.tsv"
-    write_tsv(path, [
-        ("text", "label", "par_id", "art_id", "keyword", "country"),
-        ("Some text.", "4", "p9", "a9", "poor", "ng"),
-    ])
-    records = load_subtask1_tsv(
-        path, has_header=True,
-        columns=("text", "label", "par_id", "art_id", "keyword", "country"),
-    )
-    assert records[0].par_id == "p9"
-    assert records[0].raw_label == 4
 
 
 def test_load_subtask1_errors_carry_line_numbers(tmp_path):

@@ -6,7 +6,6 @@ from pcldetect.autograd import Tensor
 from pcldetect.encoder import (
     EncoderConfig,
     EncoderParams,
-    encode,
     encode_batch,
     init_arrays,
     load_checkpoint,
@@ -32,6 +31,11 @@ def small_config(**kw):
 def fresh_params(config, seed):
     arrays = init_arrays(param_shapes(config), np.random.default_rng(seed))
     return EncoderParams(config, {n: Tensor(a, requires_grad=True) for n, a in arrays.items()})
+
+
+def encode(params, tokens, **kwargs):
+    """One sequence through a one-row batch; its (d_model,) [CLS] vector."""
+    return encode_batch(params, np.array([tokens]), **kwargs).values[0]
 
 
 @pytest.fixture()
@@ -62,8 +66,8 @@ def test_rejects_over_length_input(params):
 
 def test_eval_forward_is_deterministic(params):
     tokens = [1, 5, 7, 9, 2]
-    a = encode(params, tokens).values
-    b = encode(params, tokens).values
+    a = encode(params, tokens)
+    b = encode(params, tokens)
     assert np.array_equal(a, b)
 
 
@@ -133,8 +137,8 @@ def test_fused_encoder_matches_unfused_reference_in_train(n_layers):
 
 def test_padding_invariance(params):
     tokens = [1, 5, 7, 9, 2]
-    base = encode(params, tokens).values
-    padded = encode(params, tokens + [0, 0, 0]).values
+    base = encode(params, tokens)
+    padded = encode(params, tokens + [0, 0, 0])
     assert np.array_equal(base, padded)
 
 
@@ -142,18 +146,18 @@ def test_swapping_identical_tokens_is_identity(params):
     tokens = [1, 5, 7, 5, 2]
     swapped = [1, 5, 7, 5, 2]  # positions 1 and 3 hold the same token
     swapped[1], swapped[3] = swapped[3], swapped[1]
-    assert np.array_equal(encode(params, tokens).values, encode(params, swapped).values)
+    assert np.array_equal(encode(params, tokens), encode(params, swapped))
     different = [1, 7, 5, 5, 2]  # genuinely different content must matter
-    assert not np.array_equal(encode(params, tokens).values, encode(params, different).values)
+    assert not np.array_equal(encode(params, tokens), encode(params, different))
 
 
 def test_train_mode_needs_rng_and_uses_dropout(params):
     tokens = [1, 5, 7, 2]
     with pytest.raises(ContractError):
         encode(params, tokens, train=True)
-    a = encode(params, tokens, train=True, rng=np.random.default_rng(1)).values
-    b = encode(params, tokens, train=True, rng=np.random.default_rng(1)).values
-    c = encode(params, tokens, train=True, rng=np.random.default_rng(2)).values
+    a = encode(params, tokens, train=True, rng=np.random.default_rng(1))
+    b = encode(params, tokens, train=True, rng=np.random.default_rng(1))
+    c = encode(params, tokens, train=True, rng=np.random.default_rng(2))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

@@ -30,7 +30,6 @@ def test_no_predicted_positives_zero_convention():
 def test_confusion_counts_sum():
     c = confusion([1, 0, 1, 0], [1, 1, 0, 0])
     assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
-    assert c.total == 4
 
 
 def test_length_mismatch_rejected():

@@ -578,20 +578,6 @@ def test_a_non_ascii_vocabulary_round_trips_through_a_checkpoint_and_predict(
     assert len(set(labels)) > 1
 
 
-def test_training_is_the_same_with_one_or_two_workers(small_corpus, tmp_path, monkeypatch):
-    config = tiny_config(small_corpus, epochs=2)
-    data = load_training_data(config)
-    train_idx, val_idx = make_folds(config, data).split(0)
-    assert len(val_idx) > trainer.EVAL_BATCH  # evaluation has two or more batches
-    outcomes = []
-    for cores in (1, 2):
-        monkeypatch.setattr(trainer, "_cores", lambda: cores)
-        outcomes.append(train_fold(config, data, train_idx, val_idx, 0, tmp_path / str(cores)))
-    one, two = outcomes
-    assert len(one.history) > 1
-    assert (one.history, one.best_step, one.losses) == (two.history, two.best_step, two.losses)
-
-
 @pytest.mark.parametrize("subtask", [1, 2])
 def test_one_layout_from_build_through_checkpoint_to_load(small_corpus, tmp_path, subtask):
     path = small_corpus
