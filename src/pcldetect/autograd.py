@@ -131,7 +131,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of everything reachable from a scalar loss."""
+    """Populate gradients of everything reachable from a scalar loss.
+
+    A tensor that has no `grad` yet adopts the array its consumer's backward
+    function returned, unless that array is the incoming gradient, a view,
+    or already given to another input of the node; those are added into a
+    fresh zero array. So a backward function returns arrays it allocated
+    itself, or the incoming gradient and views of it. A tensor that has a `grad` (such as a
+    parameter bound to an optimizer's buffer) accumulates into it in place.
+    """
     if loss.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = loss._tape
@@ -151,18 +159,19 @@ def backward(loss: Tensor) -> None:
         g = out.grad
         if g is None:
             continue
+        adopted = []
         for t, gi in zip(inputs, fn(g)):
             if gi is None or not _tracked(t, tape):
                 continue
-            if t.grad is None:
+            if t.grad is not None:
+                t.grad += gi
+            elif (type(gi) is np.ndarray and gi.base is None and gi.shape == t.shape
+                  and gi is not g and not any(gi is a for a in adopted)):
+                t.grad = gi
+                adopted.append(gi)
+            else:
                 t.grad = np.zeros(t.shape, dtype=np.float64)
-            t.grad += gi
-
-
-def zero_grads(tensors) -> None:
-    """Clear gradients; accepts any iterable of tensors."""
-    for t in tensors:
-        t.grad = None
+                t.grad += gi
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +241,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.values @ b.values, (a, b), bwd)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`x @ w + b`, adding the bias in place."""
+    y = x @ w
+    y += b
+    return y
+
+
 def _affine_param_grads(x: np.ndarray, g: np.ndarray):
     """Weight and bias gradients of `x @ w + b` for output gradient `g`.
 
@@ -258,7 +274,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gx = g.reshape(-1, d_out) @ w.values.T
         return (gx.reshape(x.shape), *_affine_param_grads(x.values, g))
 
-    y = x.values.reshape(-1, d_in) @ w.values + b.values
+    y = _affine(x.values.reshape(-1, d_in), w.values, b.values)
     return _make(y.reshape(x.shape[:-1] + (d_out,)), (x, w, b), bwd)
 
 
@@ -397,41 +413,136 @@ def tanh(x: Tensor) -> Tensor:
     return _make(y, (x,), bwd)
 
 
+# The helpers below update one or two temporaries in place rather than
+# allocate one array per operation. Each applies its formula's operations
+# in the formula's order (IEEE addition and multiplication commute
+# exactly), so the results equal the plain expressions bit for bit.
+
+
+def _gelu(v: np.ndarray):
+    """(gelu(v), h): GELU in BERT's tanh form, v * h with
+    h = 0.5 * (1 + tanh(sqrt(2/pi) * (v + 0.044715 * v * v * v)))."""
+    h = np.multiply(0.044715, v, out=np.empty_like(v))  # an array even for 0-d `v`
+    h *= v
+    h *= v
+    h += v
+    h *= _SQRT_2_OVER_PI
+    np.tanh(h, out=h)
+    h += 1.0
+    h *= 0.5
+    return v * h, h
+
+
+def _gelu_backward(g: np.ndarray, v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Input gradient of `_gelu`, using 1 - tanh^2 = 4 h (1 - h):
+    g * (h + 2 sqrt(2/pi) * v * h * (1 - h) * (1 + 3 * 0.044715 * v * v))."""
+    t = (2.0 * _SQRT_2_OVER_PI) * v
+    t *= h
+    t *= 1.0 - h
+    u = (3 * 0.044715) * v
+    u *= v
+    u += 1.0
+    t *= u
+    t += h
+    t *= g
+    return t
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit in BERT's tanh form: x * h, where
-    h = (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))) / 2 and 1 - tanh^2 = 4 h (1 - h)."""
+    """Gaussian error linear unit in BERT's tanh form (see `_gelu`)."""
     v = x.values
-    h = 0.5 * (1.0 + np.tanh(_SQRT_2_OVER_PI * (v + 0.044715 * v * v * v)))
+    y, h = _gelu(v)
 
     def bwd(g):
-        return (g * (h + 2.0 * _SQRT_2_OVER_PI * v * h * (1.0 - h) * (1.0 + 3 * 0.044715 * v * v)),)
+        return (_gelu_backward(g, v, h),)
 
-    return _make(v * h, (x,), bwd)
+    return _make(y, (x,), bwd)
+
+
+def _layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """(gain * xhat + bias, xhat, 1 / std) over the trailing axis of `v`, where
+    xhat = (v - mean) / std and std = sqrt(mean((v - mean)^2) + eps)."""
+    mu = v.mean(axis=-1, keepdims=True)
+    xhat = v - mu
+    out = xhat * xhat  # squared deviations, then the output
+    inv_std = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv_std
+    np.multiply(xhat, gain, out=out)
+    out += bias
+    return out, xhat, inv_std
+
+
+def _layer_norm_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
+                         inv_std: np.ndarray):
+    """Input, gain and bias gradients of `_layer_norm` for output gradient `g`.
+
+    With dxhat = g * gain, the input gradient is
+    (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std.
+    """
+    dx = g * gain
+    t = dx * xhat
+    dx -= dx.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, t.mean(axis=-1, keepdims=True), out=t)
+    dx -= t
+    dx *= inv_std
+    lead = tuple(range(g.ndim - 1))
+    return dx, np.multiply(g, xhat, out=t).sum(axis=lead), g.sum(axis=lead)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize the trailing axis to zero mean / unit variance, then affine."""
-    v = x.values
-    mu = v.mean(axis=-1, keepdims=True)
-    centered = v - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    d = v.shape[-1]
+    y, xhat, inv_std = _layer_norm(x.values, gain.values, bias.values, eps)
 
     def bwd(g):
-        dxhat = g * gain.values
-        dx = inv_std * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        return dx, dgain, dbias
+        return _layer_norm_backward(g, gain.values, xhat, inv_std)
 
-    return _make(gain.values * xhat + bias.values, (x, gain, bias), bwd)
+    return _make(y, (x, gain, bias), bwd)
+
+
+def residual_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
+                  train: bool, rng=None, draw_shape=None, eps: float = 1e-12) -> Tensor:
+    """`layer_norm(add(x, dropout(y, rate, train, rng, draw_shape)), gain, bias)`
+    as one node: a post-norm residual connection."""
+    if x.shape != y.shape:
+        raise ShapeError(f"residual_norm needs equal shapes, got {x.shape} and {y.shape}")
+    mask = _dropout_mask(y.shape, rate, train, rng, draw_shape)
+    if mask is None:
+        s = x.values + y.values
+    else:
+        s = y.values * mask
+        s += x.values
+    out, xhat, inv_std = _layer_norm(s, gain.values, bias.values, eps)
+
+    def bwd(g):
+        dx, dgain, dbias = _layer_norm_backward(g, gain.values, xhat, inv_std)
+        return dx, dx if mask is None else dx * mask, dgain, dbias
+
+    return _make(out, (x, y, gain, bias), bwd)
+
+
+def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Tensor) -> Tensor:
+    """`linear(gelu(linear(x, w_in, b_in)), w_out, b_out)` as one node.
+
+    `x` is (..., d), `w_in` (d, f) and `w_out` (f, d); the rows of `x` go
+    through both projections as 2-d GEMMs, forward and backward.
+    """
+    d, f = w_in.shape
+    shapes = (x.shape[-1:], b_in.shape, w_out.shape, b_out.shape)
+    if shapes != ((d,), (f,), (f, d), (d,)):
+        raise ShapeError(f"feed_forward with w_in (d, f) = {w_in.shape} needs x (..., d), "
+                         f"b_in (f,), w_out (f, d) and b_out (d,); got {shapes}")
+    x2 = x.values.reshape(-1, d)
+    a = _affine(x2, w_in.values, b_in.values)
+    u, h = _gelu(a)
+
+    def bwd(g):
+        g2 = g.reshape(-1, d)
+        da = _gelu_backward(g2 @ w_out.values.T, a, h)
+        dx = da @ w_in.values.T
+        return (dx.reshape(x.shape), *_affine_param_grads(x2, da), *_affine_param_grads(u, g2))
+
+    return _make(_affine(u, w_out.values, b_out.values).reshape(x.shape),
+                 (x, w_in, b_in, w_out, b_out), bwd)
 
 
 def embedding_gather(table: Tensor, ids) -> Tensor:
@@ -533,14 +644,17 @@ def self_attention(
     def split(t):
         return t.reshape(bsz, -1, h, dh).transpose(0, 2, 1, 3)
 
-    q = split(xq @ wq.values + bq.values)
-    k = split(xv @ wk.values + bk.values)
-    v = split(xv @ wv.values + bv.values)
-    z = (q @ k.transpose(0, 1, 3, 2)) * scale + key_bias[:, None, None, :]
-    if not np.all(np.isfinite(z)):
+    q = split(_affine(xq, wq.values, bq.values))
+    k = split(_affine(xv, wk.values, bk.values))
+    v = split(_affine(xv, wv.values, bv.values))
+    p = q @ k.transpose(0, 1, 3, 2)  # scores, then softmax(scores) in place
+    p *= scale
+    p += key_bias[:, None, None, :]
+    if not np.all(np.isfinite(p)):
         raise NumericsError("attention scores are non-finite")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)  # (b, h, nq, s)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)  # (b, h, nq, s)
     if sink is not None:
         sink.append(p.copy())
     mask = _dropout_mask(p.shape, rate, train, rng, draw_shape=(bsz, h, s, s))
@@ -552,8 +666,11 @@ def self_attention(
         dp = dctx @ v.transpose(0, 1, 3, 2)
         dv = _merge_heads(pd.transpose(0, 1, 3, 2) @ dctx)
         if mask is not None:
-            dp = dp * mask
-        dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+            dp *= mask
+        dz = dp  # p * (dp - sum(dp * p)) * scale, in place
+        dz -= (dp * p).sum(axis=-1, keepdims=True)
+        dz *= p
+        dz *= scale
         dq = _merge_heads(dz @ k)
         dk = _merge_heads((q.transpose(0, 1, 3, 2) @ dz).transpose(0, 1, 3, 2))
         dx = dv @ wv.values.T
@@ -567,5 +684,5 @@ def self_attention(
             *_affine_param_grads(ctx, g),
         )
 
-    out = ctx @ wo.values + bo.values
+    out = _affine(ctx, wo.values, bo.values)
     return _make(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), bwd)

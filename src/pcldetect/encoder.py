@@ -111,10 +111,6 @@ class EncoderParams:
         return self.tensors[name]
 
 
-def _linear(x: Tensor, params: EncoderParams, name: str) -> Tensor:
-    return ag.linear(x, params[f"{name}.weight"], params[f"{name}.bias"])
-
-
 def _attention_weights(params: EncoderParams, layer: int) -> tuple:
     return tuple(
         (params[f"layer.{layer}.attn.{proj}.weight"], params[f"layer.{layer}.attn.{proj}.bias"])
@@ -172,17 +168,17 @@ def encode_batch(
         )
         if rows < s:
             x = ag.select(x, slice(0, rows), axis=1)
-        x = ag.layer_norm(
-            ag.add(x, ag.dropout(attn, rate, train, rng, draw_shape=full)),
-            params[f"layer.{layer}.attn.ln.gain"],
-            params[f"layer.{layer}.attn.ln.bias"],
+        x = ag.residual_norm(
+            x, attn, params[f"layer.{layer}.attn.ln.gain"], params[f"layer.{layer}.attn.ln.bias"],
+            rate, train, rng, draw_shape=full,
         )
-        ff = ag.gelu(_linear(x, params, f"layer.{layer}.ff.in"))
-        ff = _linear(ff, params, f"layer.{layer}.ff.out")
-        x = ag.layer_norm(
-            ag.add(x, ag.dropout(ff, rate, train, rng, draw_shape=full)),
-            params[f"layer.{layer}.ff.ln.gain"],
-            params[f"layer.{layer}.ff.ln.bias"],
+        ff = ag.feed_forward(
+            x, params[f"layer.{layer}.ff.in.weight"], params[f"layer.{layer}.ff.in.bias"],
+            params[f"layer.{layer}.ff.out.weight"], params[f"layer.{layer}.ff.out.bias"],
+        )
+        x = ag.residual_norm(
+            x, ff, params[f"layer.{layer}.ff.ln.gain"], params[f"layer.{layer}.ff.ln.bias"],
+            rate, train, rng, draw_shape=full,
         )
 
     return ag.select(x, 0, axis=1)  # (b, d_model) at the [CLS] position
@@ -190,7 +186,7 @@ def encode_batch(
 
 def pooler(h: Tensor, params: EncoderParams) -> Tensor:
     """Dense + tanh transform of the [CLS] representation; output in (-1, 1)."""
-    return ag.tanh(_linear(h, params, "pooler.dense"))
+    return ag.tanh(ag.linear(h, params["pooler.dense.weight"], params["pooler.dense.bias"]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +230,24 @@ def load_checkpoint(path):
     Each array is a view of the file's one `params` array. The header's
     index is checked against that array before any view is taken.
     """
-    try:
-        # opened here, because np.load leaves a file it opened itself open on a bad zip
-        with open(path, "rb") as fh, np.load(fh) as data:
-            raw = data["header"]
-            # a version-2 header is a numpy unicode string, read only to name its version
-            text = str(raw) if raw.dtype.kind == "U" else raw.tobytes().decode("utf-8")
-            header = json.loads(text)
-            version = header["version"]
-            if version == CHECKPOINT_VERSION:
-                flat, config, meta = data["params"], header["encoder_config"], dict(header["meta"])
-    # not numpy data, a bare array, no header or params; a truncated, empty or damaged zip
-    except (ValueError, TypeError, KeyError, zipfile.BadZipFile, EOFError, NotImplementedError):
-        raise ConfigError(f"{path}: not a pcldetect checkpoint") from None
+    # opened here, because np.load leaves a file it opened itself open on a bad zip, and
+    # outside the `try`, so that a missing or unreadable file keeps its own error
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh) as data:
+                raw = data["header"]
+                # a version-2 header is a numpy unicode string, read only to name its version
+                text = str(raw) if raw.dtype.kind == "U" else raw.tobytes().decode("utf-8")
+                header = json.loads(text)
+                version = header["version"]
+                if version == CHECKPOINT_VERSION:
+                    flat, config = data["params"], header["encoder_config"]
+                    meta = dict(header["meta"])
+        # not numpy data, a bare array, no header or params; a truncated, empty or damaged
+        # zip, whose central directory may send a seek past the file (OSError)
+        except (ValueError, TypeError, KeyError, zipfile.BadZipFile, EOFError,
+                NotImplementedError, OSError):
+            raise ConfigError(f"{path}: not a pcldetect checkpoint") from None
     if version != CHECKPOINT_VERSION:
         raise ConfigError(
             f"{path}: checkpoint version {version}; this pcldetect reads version {CHECKPOINT_VERSION}"

@@ -180,7 +180,10 @@ class AdamW:
     Each group keeps one flat buffer apiece for parameters, gradients and
     the two moments, decayed tensors first, so weight decay covers one
     contiguous prefix. Every parameter's `values` (and its moments in `_m`,
-    `_v`) become views into these buffers. `step` applies the per-element
+    `_v`) become views into these buffers. `zero_grad` clears the gradient
+    buffers and binds every parameter's `grad` to its view of them, so a
+    backward pass accumulates there; `step` copies a `grad` assigned any
+    other way into the buffer. `step` applies the per-element
     arithmetic over chunks of at most CHUNK elements whose temporaries stay
     in cache, so a step issues a few ufunc calls per chunk, not per tensor.
     """
@@ -199,7 +202,7 @@ class AdamW:
         self.params = params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self._m, self._v = {}, {}
+        self._m, self._v, self._grads = {}, {}, {}
         self._flat = []  # per group: (names, decayed prefix length, p, g, m, v)
         for group in groups:
             names = sorted(group.names, key=lambda n: not decays(n))  # decayed first
@@ -215,28 +218,39 @@ class AdamW:
                 t.values = p[view].reshape(t.shape)
                 self._m[name] = m[view].reshape(t.shape)
                 self._v[name] = v[view].reshape(t.shape)
+                self._grads[name] = g[view].reshape(t.shape)
                 offset += size
             self._flat.append((names, n_decayed, p, g, m, v))
         self._scratch = np.empty((2, self.CHUNK))
 
-    def _gather_grads(self, names, g) -> None:
-        grads = []
-        for name in names:
-            t = self.params[name]
-            if t.grad is None:
+    def zero_grad(self) -> None:
+        """Clear the gradient buffers and bind each parameter's `grad` to its view."""
+        for _, _, _, g, _, _ in self._flat:
+            g.fill(0.0)
+        for name, view in self._grads.items():
+            self.params[name].grad = view
+
+    def _gather_grads(self) -> None:
+        """Copy into the buffers any `grad` not bound by `zero_grad`; every one is
+        checked before any is copied."""
+        outside = []
+        for name, view in self._grads.items():
+            grad = self.params[name].grad
+            if grad is view:
+                continue
+            if grad is None:
                 raise ContractError(f"missing gradient for parameter {name!r}")
-            if t.grad.shape != t.shape:
+            if grad.shape != view.shape:
                 raise ContractError(
-                    f"gradient for parameter {name!r} has shape {t.grad.shape}, "
-                    f"expected {t.shape}"
+                    f"gradient for parameter {name!r} has shape {grad.shape}, "
+                    f"expected {view.shape}"
                 )
-            grads.append(t.grad.reshape(-1))
-        if grads:
-            np.concatenate(grads, out=g)
+            outside.append((view, grad))
+        for view, grad in outside:
+            view[...] = grad
 
     def step(self, schedule_multiplier: float = 1.0) -> None:
-        for names, _, _, g, _, _ in self._flat:
-            self._gather_grads(names, g)
+        self._gather_grads()
         self.step_count += 1
         b1, b2, eps = self.beta1, self.beta2, self.eps
         bc1 = 1.0 - b1 ** self.step_count

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from . import blas
-from .autograd import Tape, backward, zero_grads
+from . import blas, heap
+from .autograd import Tape, backward
 from .data import (
     NUM_CATEGORIES,
     RESERVED_TOKENS,
@@ -631,6 +631,7 @@ def train_fold(
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
+    heap.keep_freed_memory()
 
     init_ss, dropout_ss, order_ss = np.random.SeedSequence([config.seed, fold]).spawn(3)
     model = build_model(config, len(data.vocab), np.random.default_rng(init_ss))
@@ -658,6 +659,7 @@ def train_fold(
                 multiplier = cosine_warmup_multiplier(
                     ScheduleState(step, total_steps, config.warmup_frac)
                 )
+                optimizer.zero_grad()
                 try:
                     with Tape():
                         loss = model.loss(model.forward(ids, train=True, rng=dropout_rng), golds)
@@ -672,7 +674,6 @@ def train_fold(
                         f"lr multiplier {multiplier:.6f}, batch par_ids {batch_ids}"
                     ) from exc
                 optimizer.step(multiplier)
-                zero_grads(named.values())
                 losses.append(loss_val)
 
                 if step % config.eval_every_batches == 0:
@@ -880,6 +881,7 @@ def load_model(ckpt_path):
 @blas.one_thread()
 def predict_records(ckpt_path, records):
     """Predict labels for paragraph records; returns (par_ids, labels)."""
+    heap.keep_freed_memory()
     model, vocab, meta = load_model(ckpt_path)
     max_len = model.params.config.max_len
     token_ids = [tokenize(compose_input(r), vocab, max_len) for r in records]

@@ -2,9 +2,14 @@
 
 import numpy as np
 
-from pcldetect.autograd import Tape, backward, zero_grads
+from pcldetect.autograd import Tape, backward
 
 STEP = 1e-5
+
+
+def clear_grads(tensors):
+    for t in tensors:
+        t.grad = None
 
 
 def finite_difference(loss_fn, tensors, step=STEP):
@@ -43,10 +48,10 @@ def check_gradients(loss_fn, tensors, step=STEP, floor=1e-8):
     carry ~1e-11 absolute noise, so gradients below the floor are held to
     absolute rather than relative agreement.
     """
-    zero_grads(tensors)
+    clear_grads(tensors)
     with Tape():
         backward(loss_fn())
     analytic = [t.grad.copy() if t.grad is not None else np.zeros(t.shape) for t in tensors]
     numeric = finite_difference(loss_fn, tensors, step=step)
-    zero_grads(tensors)
+    clear_grads(tensors)
     return max_rel_error(analytic, numeric, floor=floor)

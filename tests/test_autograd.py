@@ -118,6 +118,38 @@ def test_gelu_values_are_the_tanh_form_near_the_erf_form():
     assert np.max(np.abs(out - erf_form)) < 5e-4
 
 
+def _values_and_grads(node, tensors, mix):
+    with Tape():
+        out = node(*tensors)
+        backward(ag.mul(mix, out).sum())  # each node receives `mix` as its gradient
+    return [out.values.tobytes()] + [t.grad.tobytes() for t in tensors]
+
+
+def test_gelu_and_layer_norm_equal_their_plain_formulas_bit_for_bit():
+    # the nodes compute in place; these are the expressions they must reproduce
+    rng = np.random.default_rng(23)
+    v, g = rng.normal(size=(2, 7, 16)) * 2.0, rng.normal(size=(2, 7, 16))
+    gain, bias = rng.normal(size=16), rng.normal(size=16)
+    c = np.sqrt(2.0 / np.pi)
+    h = 0.5 * (1.0 + np.tanh(c * (v + 0.044715 * v * v * v)))
+    dv = g * (h + 2.0 * c * v * h * (1.0 - h) * (1.0 + 3 * 0.044715 * v * v))
+    x = Tensor(v, requires_grad=True)
+    assert _values_and_grads(ag.gelu, [x], constant(g)) == [(v * h).tobytes(), dv.tobytes()]
+    scalar = Tensor(v[0, 0, 0], requires_grad=True)
+    assert _values_and_grads(ag.gelu, [scalar], constant(g[0, 0, 0])) == [
+        (v * h)[0, 0, 0].tobytes(), dv[0, 0, 0].tobytes()]
+
+    centered = v - v.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-12)
+    xhat = centered * inv_std
+    dxhat = g * gain
+    dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    tensors = [Tensor(a, requires_grad=True) for a in (v, gain, bias)]
+    want = [gain * xhat + bias, dx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))]
+    assert _values_and_grads(ag.layer_norm, tensors, constant(g)) == [a.tobytes() for a in want]
+
+
 def test_layer_norm_moments():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(6, 32)) * 3 + 1)
@@ -302,6 +334,86 @@ def test_self_attention_gradcheck_in_train_mode(n_queries):
     assert check_gradients(loss, tensors, floor=1e-4) < 1e-5
 
 
+def _residual_case(seed=21):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+    y = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+    gain = Tensor(rng.normal(size=6) + 1.0, requires_grad=True)
+    bias = Tensor(rng.normal(size=6), requires_grad=True)
+    return x, y, gain, bias, constant(rng.normal(size=(2, 5, 6)))
+
+
+def _residual_norm_chain(x, y, gain, bias, rate, train, rng, draw_shape=None):
+    return ag.layer_norm(ag.add(x, ag.dropout(y, rate, train, rng, draw_shape)), gain, bias)
+
+
+@pytest.mark.parametrize("rows", [5, 1], ids=["all-rows", "last-layer"])
+@pytest.mark.parametrize("rate", [0.0, 0.4])
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+def test_residual_norm_equals_the_unfused_chain_bit_for_bit(train, rate, rows):
+    # rows < 5 is the last layer: one query row of x, with the dropout mask
+    # drawn at full size and cut to its leading corner
+    def run(node):
+        x, y, gain, bias, mix = _residual_case()
+        rng = np.random.default_rng(5)
+        with Tape():
+            xr = ag.select(x, slice(0, rows), axis=1)
+            yr = ag.select(y, slice(0, rows), axis=1)
+            out = node(xr, yr, gain, bias, rate, train, rng, draw_shape=(2, 5, 6))
+            backward(ag.mul(ag.select(mix, slice(0, rows), axis=1), out).sum())
+        return [out.values.tobytes()] + [t.grad.tobytes() for t in (x, y, gain, bias)], \
+            rng.bit_generator.state
+
+    fused, fused_rng = run(ag.residual_norm)
+    chain, chain_rng = run(_residual_norm_chain)
+    assert fused == chain
+    assert fused_rng == chain_rng
+
+
+def test_residual_norm_gradcheck_with_dropout():
+    x, y, gain, bias, mix = _residual_case()
+
+    def loss():
+        out = ag.residual_norm(x, y, gain, bias, 0.4, True, np.random.default_rng(5))
+        return ag.mul(mix, out).sum()
+
+    assert check_gradients(loss, [x, y, gain, bias]) < 1e-5
+    with pytest.raises(ShapeError):
+        ag.residual_norm(x, ag.select(y, slice(0, 1), axis=1), gain, bias, 0.0, False)
+
+
+def _feed_forward_case(rows):
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.normal(size=(2, rows, 6)), requires_grad=True)
+    w_in, w_out = (Tensor(rng.normal(size=s) * 0.5, requires_grad=True)
+                   for s in ((6, 8), (8, 6)))
+    b_in, b_out = (Tensor(rng.normal(size=n), requires_grad=True) for n in (8, 6))
+    return [x, w_in, b_in, w_out, b_out], constant(rng.normal(size=(2, rows, 6)))
+
+
+@pytest.mark.parametrize("rows", [5, 1], ids=["all-rows", "last-layer"])
+def test_feed_forward_equals_the_unfused_chain_bit_for_bit(rows):
+    def run(node):
+        tensors, mix = _feed_forward_case(rows)
+        with Tape():
+            out = node(*tensors)
+            backward(ag.mul(mix, out).sum())
+        return [out.values.tobytes()] + [t.grad.tobytes() for t in tensors]
+
+    def chain(x, w_in, b_in, w_out, b_out):
+        return ag.linear(ag.gelu(ag.linear(x, w_in, b_in)), w_out, b_out)
+
+    assert run(ag.feed_forward) == run(chain)
+
+
+def test_feed_forward_gradcheck():
+    tensors, mix = _feed_forward_case(3)
+    assert check_gradients(lambda: ag.mul(mix, ag.feed_forward(*tensors)).sum(), tensors) < 1e-6
+    x, w_in, b_in, w_out, b_out = tensors
+    with pytest.raises(ShapeError):
+        ag.feed_forward(x, w_in, b_in, w_in, b_out)
+
+
 def test_self_attention_refuses_non_finite_scores():
     x = Tensor(np.full((1, 3, 4), np.nan))
     weights = tuple((Tensor(np.eye(4)), Tensor(np.zeros(4))) for _ in range(4))
@@ -326,6 +438,70 @@ def test_gradients_accumulate_across_shared_use():
     with Tape():
         backward(ag.add(w.sum(), ag.mul(w, w).sum()))
     assert np.array_equal(w.grad, [5.0])  # 1 + 2w
+
+
+def _shared_use(rng):
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    return {"a": a, "x": x, "aa": ag.mul(a, a), "xx": ag.add(x, x)}, ("aa", "xx")
+
+
+def _shared_g(rng):
+    p = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    return {"p": p, "q": q, "pq": ag.add(p, q)}, ("pq",)
+
+
+def _views(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    h = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)  # reached through `linear` only
+    r = ag.reshape(x, (6, 4))
+    t = ag.transpose(r, (1, 0))
+    hv = ag.reshape(ag.transpose(ag.linear(h, w, b), (1, 0, 2)), (3, 10))
+    return {"x": x, "w": w, "b": b, "h": h, "r": r, "t": t, "hv": hv}, ("t", "hv")
+
+
+def _fused(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    y = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    gain = Tensor(rng.normal(size=4), requires_grad=True)
+    bias = Tensor(rng.normal(size=4), requires_grad=True)
+    w_in, w_out = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((4, 6), (6, 4)))
+    b_in, b_out = (Tensor(rng.normal(size=n), requires_grad=True) for n in (6, 4))
+    n = ag.residual_norm(x, y, gain, bias, 0.0, False)  # hands one array to x and y
+    return {"x": x, "y": y, "gain": gain, "bias": bias, "n": n,
+            "ff": ag.feed_forward(n, w_in, b_in, w_out, b_out)}, ("ff",)
+
+
+@pytest.mark.parametrize("build", [_shared_use, _shared_g, _views, _fused],
+                         ids=["used-twice", "add-shared-g", "views", "fused"])
+def test_adopted_gradients_never_alias_and_equal_accumulation_into_zeros(build):
+    def run(zeroed):
+        rng = np.random.default_rng(3)
+        with Tape():
+            tensors, out_names = build(rng)
+            outs = [tensors[name] for name in out_names]
+            mixes = [constant(rng.normal(size=t.shape)) for t in outs]
+            loss = ag.mul(mixes[0], outs[0]).sum()
+            for mix, out in zip(mixes[1:], outs[1:]):
+                loss = ag.add(loss, ag.mul(mix, out).sum())
+            if zeroed:  # every tensor accumulates into zeros, as before adoption
+                for t in tensors.values():
+                    t.grad = np.zeros(t.shape)
+            backward(loss)
+        return tensors
+
+    adopted, reference = run(zeroed=False), run(zeroed=True)
+    for name, t in adopted.items():
+        assert t.grad is not None, name  # intermediates keep their gradients
+        assert t.grad.tobytes() == reference[name].grad.tobytes(), name
+    named = list(adopted.items())
+    for i, (name, t) in enumerate(named):
+        for other, u in named[i + 1:]:
+            assert not np.shares_memory(t.grad, u.grad), (name, other)
+        assert not np.shares_memory(t.grad, t.values), name
 
 
 def test_select_and_transpose_gradients():

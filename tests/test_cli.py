@@ -464,6 +464,8 @@ def test_config_commands_have_one_flag_per_run_config_field():
      "{flipped}: not a pcldetect checkpoint"),
     ("predict --checkpoint {empty} --data {corpus} --out {out}",
      "{empty}: not a pcldetect checkpoint"),
+    ("predict --checkpoint {bad_directory} --data {corpus} --out {out}",
+     "{bad_directory}: not a pcldetect checkpoint"),
     ("predict --checkpoint {dir} --data {corpus} --out {out}", "Is a directory: '{dir}'"),
     ("train --data {dir} --out-dir {run}", "Is a directory: '{dir}'"),
     ("train --config {dir} --out-dir {run}", "Is a directory: '{dir}'"),
@@ -478,7 +480,8 @@ def test_config_commands_have_one_flag_per_run_config_field():
         "predict-checkpoint-negative-dim", "predict-checkpoint-fractional-dim",
         "predict-checkpoint-sizes", "predict-checkpoint-unknown-field",
         "predict-checkpoint-2d-params", "predict-checkpoint-truncated",
-        "predict-checkpoint-flipped-byte", "predict-checkpoint-empty", "checkpoint-dir",
+        "predict-checkpoint-flipped-byte", "predict-checkpoint-empty",
+        "predict-checkpoint-bad-central-directory", "checkpoint-dir",
         "data-dir", "config-dir", "data-not-utf8", "evaluate-not-utf8", "ensemble-not-utf8",
         "out-dir-is-a-file"])
 def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_path, capsys,
@@ -509,8 +512,13 @@ def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_pat
     flipped = bytearray(whole)
     # the first byte of params' values: numpy pads a short .npy header to 128 bytes
     flipped[whole.index(b"\x93NUMPY", whole.index(b"params.npy")) + 128] ^= 0xFF
+    bad_directory = bytearray(whole)
+    # the end-of-central-directory record's offset of the central directory,
+    # sent past the end of the file
+    end = whole.rindex(b"PK\x05\x06")
+    bad_directory[end + 16 : end + 20] = (0xFFFFFF00).to_bytes(4, "little")
     for name, damaged in [("truncated", whole[: len(whole) // 2]), ("flipped", flipped),
-                          ("empty", b"")]:
+                          ("empty", b""), ("bad_directory", bad_directory)]:
         paths[name] = tmp_path / f"{name}.npz"
         paths[name].write_bytes(damaged)
     paths["dir"].mkdir()

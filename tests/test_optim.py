@@ -189,6 +189,67 @@ def test_adamw_refuses_a_gradient_of_another_shape():
     assert np.array_equal(w.values, [1.0, 2.0, 3.0, 4.0])
 
 
+def test_adamw_refuses_a_grad_unbound_after_zero_grad():
+    opt, w, b = _two_params_one_bad(np.ones(2))
+    opt.zero_grad()
+    b.grad = None
+    with pytest.raises(ContractError, match="layer.0.ff.in.bias"):
+        opt.step()
+    assert opt.step_count == 0
+
+
+def test_zero_grad_binds_each_grad_to_a_cleared_view_of_the_flat_buffer():
+    groups, named = s1_model_params()
+    opt = AdamW(groups, named)
+    for t in named.values():
+        t.grad = np.ones(t.shape)  # stale, from outside
+    opt.zero_grad()
+    for names, _, _, g, _, _ in opt._flat:
+        assert not g.any()
+        for name in names:
+            grad = named[name].grad
+            assert grad.shape == named[name].shape and np.shares_memory(grad, g), name
+
+
+def test_gradients_accumulated_in_the_bound_views_step_as_assigned_ones_do():
+    groups, named = s1_model_params()
+    _, ref_named = s1_model_params()
+    opt, ref = AdamW(groups, named), LoopAdamW(groups, ref_named)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        opt.zero_grad()
+        for name, t in named.items():
+            grad = rng.normal(scale=0.1, size=t.shape)
+            t.grad += grad  # in place, as backward accumulates into a bound grad
+            ref_named[name].grad = grad
+        opt.step(0.5)
+        ref.step(0.5)
+    _assert_same_bits(opt, ref)
+
+
+def test_a_grad_assigned_from_outside_is_copied_into_the_buffer():
+    p = make_param([1.0, 2.0])
+    opt = AdamW([ParamGroup(("classifier.weight",), 0.1, 0.0, "head")],
+                {"classifier.weight": p})
+    opt.zero_grad()
+    p.grad = np.array([0.5, -0.5])
+    opt.step()
+    buffer = opt._flat[0][3]
+    assert np.array_equal(buffer, [0.5, -0.5]) and not np.shares_memory(p.grad, buffer)
+
+
+def test_a_bound_parameter_that_backward_never_reached_steps_with_a_zero_gradient():
+    w, b = make_param([1.0, 2.0]), make_param([0.5, -0.5])
+    params = {"layer.0.ff.in.weight": w, "layer.0.ff.in.bias": b}
+    opt = AdamW([ParamGroup(tuple(params), 0.1, 0.0, "embeddings+lower")], params)
+    opt.zero_grad()
+    w.grad += 1.0  # only w is reached
+    opt.step()
+    assert opt.step_count == 1
+    assert np.array_equal(b.values, [0.5, -0.5])
+    assert np.allclose(w.values, [0.9, 1.9])
+
+
 def test_adamw_group_partition_enforced():
     p = make_param([1.0])
     q = make_param([2.0])

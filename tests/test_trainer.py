@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcldetect import blas, trainer
+from pcldetect import blas, heap, trainer
 from pcldetect.autograd import Tape, backward
 from pcldetect.cli import main
 from pcldetect.data import Vocabulary, compose_input, pad_batch, tokenize
@@ -284,8 +284,11 @@ def test_fold_seed_controls_assignment(small_corpus):
 
 
 def test_training_step_tape_budget():
-    # the s1 recipe's shape: one step records 72 tape nodes, of which the head
-    # and loss are three (transpose, linear, cross_entropy)
+    # the s1 recipe's shape: one step records 36 tape nodes. The embeddings
+    # take five (two gathers, add, layer_norm, dropout), each of the six
+    # layers four (self_attention, residual_norm, feed_forward, residual_norm)
+    # and the last layer's row select one more, then the [CLS] select, the
+    # pooler (linear, tanh), the head and loss (transpose, linear, cross_entropy)
     config = RunConfig(d_model=64, n_heads=4, n_layers=6, d_ff=256, max_len=64, dropout=0.4)
     model = build_model(config, 53, np.random.default_rng(0))
     rows = np.random.default_rng(1).integers(6, 53, size=(4, 31))
@@ -294,7 +297,7 @@ def test_training_step_tape_budget():
         loss = model.loss(model.forward(ids, train=True, rng=np.random.default_rng(2)),
                           [0, 1, 0, 0])
         backward(loss)
-    assert len(tape) == 72
+    assert len(tape) == 36
 
 
 def _arrays(model):
@@ -494,6 +497,39 @@ def test_blas_keeps_one_thread_in_training_and_prediction(small_corpus, tmp_path
         assert (len(seen), set(seen), get()) == (6, {1}, 2)
     finally:
         set_(before)
+
+
+def test_training_and_prediction_keep_freed_memory_in_the_heap(small_corpus, tmp_path,
+                                                              monkeypatch):
+    model, data = _mixed_label_model(small_corpus, 1)
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(ckpt, model.params.config, _arrays(model),
+                    {"subtask": 1, "vocab": data.vocab.tokens})
+    config = tiny_config(small_corpus, epochs=1)
+    calls = []
+    monkeypatch.setattr(heap, "_mallopt", lambda: lambda *args: calls.append(args))
+    policy = [(heap.M_MMAP_THRESHOLD, heap.MMAP_THRESHOLD),
+              (heap.M_TRIM_THRESHOLD, heap.TRIM_THRESHOLD)]
+    predict_records(ckpt, data.records)
+    assert calls == policy
+    calls.clear()
+    train_fold(config, data, *make_folds(config, data).split(0), 0, tmp_path / "fold")
+    assert calls == policy
+
+
+def test_the_heap_policy_does_nothing_without_mallopt(monkeypatch):
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    heap._mallopt.cache_clear()
+    try:
+        monkeypatch.setattr(heap.ctypes, "CDLL", NoMallopt)
+        assert heap._mallopt() is None
+        heap.keep_freed_memory()
+    finally:
+        monkeypatch.undo()
+        heap._mallopt.cache_clear()
 
 
 _WIDTH_MISMATCH = "a {width}-wide classifier does not fit subtask {subtask}"
