@@ -130,7 +130,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, *on_done) -> None:
     """Populate gradients of everything reachable from a scalar loss.
 
     A tensor that has no `grad` yet adopts the array its consumer's backward
@@ -139,6 +139,11 @@ def backward(loss: Tensor) -> None:
     fresh zero array. So a backward function returns arrays it allocated
     itself, or the incoming gradient and views of it. A tensor that has a `grad` (such as a
     parameter bound to an optimizer's buffer) accumulates into it in place.
+
+    Each of `on_done` is a (tensors, callback) pair. `callback()` is called
+    once, as soon as no node left to replay reads any of `tensors`: right
+    after the last such node, or before the first node if none reads them.
+    From then on backward neither reads nor writes their values or `grad`.
     """
     if loss.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -153,25 +158,41 @@ def backward(loss: Tensor) -> None:
     # freed without waiting for the cyclic garbage collector
     nodes, tape._nodes = tape._nodes, []
     tape._freed += len(nodes)
+    due = _callbacks_by_node(nodes, on_done)
+    for callback in due.get(len(nodes), ()):
+        callback()
     loss.grad = np.ones((), dtype=np.float64)
     while nodes:
         out, inputs, fn = nodes.pop()
         g = out.grad
-        if g is None:
-            continue
-        adopted = []
-        for t, gi in zip(inputs, fn(g)):
-            if gi is None or not _tracked(t, tape):
-                continue
-            if t.grad is not None:
-                t.grad += gi
-            elif (type(gi) is np.ndarray and gi.base is None and gi.shape == t.shape
-                  and gi is not g and not any(gi is a for a in adopted)):
-                t.grad = gi
-                adopted.append(gi)
-            else:
-                t.grad = np.zeros(t.shape, dtype=np.float64)
-                t.grad += gi
+        if g is not None:
+            adopted = []
+            for t, gi in zip(inputs, fn(g)):
+                if gi is None or not _tracked(t, tape):
+                    continue
+                if t.grad is not None:
+                    t.grad += gi
+                elif (type(gi) is np.ndarray and gi.base is None and gi.shape == t.shape
+                      and gi is not g and not any(gi is a for a in adopted)):
+                    t.grad = gi
+                    adopted.append(gi)
+                else:
+                    t.grad = np.zeros(t.shape, dtype=np.float64)
+                    t.grad += gi
+        for callback in due.get(len(nodes), ()):  # len(nodes) is the replayed node's index
+            callback()
+
+
+def _callbacks_by_node(nodes, on_done) -> dict:
+    """Index of the first node that reads a tensor of each pair (len(nodes)
+    where none does) -> the callbacks due once that node is replayed."""
+    due: dict = {}
+    for tensors, callback in on_done:
+        ids = {id(t) for t in tensors}
+        first = next((i for i, (_, inputs, _) in enumerate(nodes)
+                      if any(id(t) in ids for t in inputs)), len(nodes))
+        due.setdefault(first, []).append(callback)
+    return due
 
 
 # ---------------------------------------------------------------------------

@@ -203,11 +203,17 @@ def _read_rows(path, expected_cols: int):
 
 
 def load_subtask1_tsv(path) -> list[ParagraphRecord]:
-    """Load labeled paragraphs from a headerless file in SUBTASK1_COLUMNS order."""
-    records = []
+    """Load labeled paragraphs from a headerless file in SUBTASK1_COLUMNS order;
+    a par_id may appear on one line only."""
+    records, line_of = [], {}
     for lineno, (par_id, art_id, keyword, country, text, label) in _read_rows(
         path, len(SUBTASK1_COLUMNS)
     ):
+        first = line_of.setdefault(par_id, lineno)
+        if first != lineno:
+            raise ParseError(
+                f"{path}: line {lineno}: duplicate par_id {par_id!r}, first on line {first}"
+            )
         try:
             raw = int(label)
         except ValueError:

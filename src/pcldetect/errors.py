@@ -47,3 +47,7 @@ class DegenerateDistributionError(PcldetectError, ValueError):
 
 class TrainingDivergedError(PcldetectError, RuntimeError):
     """Training produced a non-finite loss; carries diagnostics in the message."""
+
+
+class HelperError(PcldetectError, RuntimeError):
+    """A forked helper process ended before it finished the work handed to it."""

@@ -8,7 +8,9 @@ with a slightly higher rate than the top hidden group.
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 import re
 from dataclasses import dataclass
 
@@ -180,12 +182,22 @@ class AdamW:
     Each group keeps one flat buffer apiece for parameters, gradients and
     the two moments, decayed tensors first, so weight decay covers one
     contiguous prefix. Every parameter's `values` (and its moments in `_m`,
-    `_v`) become views into these buffers. `zero_grad` clears the gradient
-    buffers and binds every parameter's `grad` to its view of them, so a
-    backward pass accumulates there; `step` copies a `grad` assigned any
-    other way into the buffer. `step` applies the per-element
-    arithmetic over chunks of at most CHUNK elements whose temporaries stay
-    in cache, so a step issues a few ufunc calls per chunk, not per tensor.
+    `_v`) become views into these buffers, which all live in one shared
+    anonymous mapping, so a forked helper process and this one step the same
+    memory. `zero_grad` clears the gradient buffers and binds every
+    parameter's `grad` to its view of them, so a backward pass accumulates
+    there; `step` copies a `grad` assigned any other way into the buffer.
+    `step` applies the per-element arithmetic over chunks of at most CHUNK
+    elements whose temporaries stay in cache, so a step issues a few ufunc
+    calls per chunk, not per tensor.
+
+    With a `helper` set (`trainer._OptimizerHelper`, a forked process), the
+    helper steps and zeroes the groups listed in `helper.groups`, through
+    `step_group`, and this process steps and zeroes the others.
+    `handoffs(multiplier)` gives `backward` callbacks that hand each helper
+    group off as soon as backward is done with its parameters; `step` hands
+    off any group not yet handed, steps this process's groups and waits
+    for the helper.
     """
 
     CHUNK = 16384
@@ -202,85 +214,127 @@ class AdamW:
         self.params = params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
+        self.helper = None
         self._m, self._v, self._grads = {}, {}, {}
         self._flat = []  # per group: (names, decayed prefix length, p, g, m, v)
+        total = sum(params[n].values.size for n in grouped)
+        # zero-filled, so the gradients and moments start cleared
+        buffers = np.frombuffer(mmap.mmap(-1, 8 * max(4 * total, 1)), dtype=np.float64)
+        start = 0
         for group in groups:
             names = sorted(group.names, key=lambda n: not decays(n))  # decayed first
             sizes = [params[n].values.size for n in names]
             n_decayed = sum(s for n, s in zip(names, sizes) if group.weight_decay and decays(n))
-            total = sum(sizes)
-            p, g = np.empty(total), np.empty(total)
-            m, v = np.zeros(total), np.zeros(total)
+            size = sum(sizes)
+            p, g, m, v = buffers[start : start + 4 * size].reshape(4, size)
+            start += 4 * size
             offset = 0
-            for name, size in zip(names, sizes):
-                t, view = params[name], slice(offset, offset + size)
+            for name, n in zip(names, sizes):
+                t, view = params[name], slice(offset, offset + n)
                 p[view] = t.values.reshape(-1)
                 t.values = p[view].reshape(t.shape)
                 self._m[name] = m[view].reshape(t.shape)
                 self._v[name] = v[view].reshape(t.shape)
                 self._grads[name] = g[view].reshape(t.shape)
-                offset += size
+                offset += n
             self._flat.append((names, n_decayed, p, g, m, v))
         self._scratch = np.empty((2, self.CHUNK))
 
+    def _own(self) -> list[int]:
+        """Indices of the groups this process steps and zeroes."""
+        theirs = self.helper.groups if self.helper is not None else ()
+        return [k for k in range(len(self.groups)) if k not in theirs]
+
     def zero_grad(self) -> None:
-        """Clear the gradient buffers and bind each parameter's `grad` to its view."""
-        for _, _, _, g, _, _ in self._flat:
-            g.fill(0.0)
+        """Clear this process's gradient buffers and bind each parameter's `grad` to its view."""
+        for k in self._own():
+            self._flat[k][3].fill(0.0)
         for name, view in self._grads.items():
             self.params[name].grad = view
 
-    def _gather_grads(self) -> None:
-        """Copy into the buffers any `grad` not bound by `zero_grad`; every one is
-        checked before any is copied."""
+    def _gather_grads(self, ks) -> None:
+        """Copy into groups `ks`' buffers any `grad` not bound by `zero_grad`;
+        every one is checked before any is copied."""
         outside = []
-        for name, view in self._grads.items():
-            grad = self.params[name].grad
-            if grad is view:
-                continue
-            if grad is None:
-                raise ContractError(f"missing gradient for parameter {name!r}")
-            if grad.shape != view.shape:
-                raise ContractError(
-                    f"gradient for parameter {name!r} has shape {grad.shape}, "
-                    f"expected {view.shape}"
-                )
-            outside.append((view, grad))
+        for k in ks:
+            for name in self._flat[k][0]:
+                view, grad = self._grads[name], self.params[name].grad
+                if grad is view:
+                    continue
+                if grad is None:
+                    raise ContractError(f"missing gradient for parameter {name!r}")
+                if grad.shape != view.shape:
+                    raise ContractError(
+                        f"gradient for parameter {name!r} has shape {grad.shape}, "
+                        f"expected {view.shape}"
+                    )
+                outside.append((view, grad))
         for view, grad in outside:
             view[...] = grad
 
+    def handoffs(self, schedule_multiplier: float) -> list:
+        """`backward`'s (tensors, callback) pairs that hand each helper group
+        off for the coming `step(schedule_multiplier)`; none without a helper."""
+        if self.helper is None:
+            return []
+        return [([self.params[n] for n in self._flat[k][0]],
+                 functools.partial(self._hand_off, k, schedule_multiplier))
+                for k in self.helper.groups]
+
+    def _hand_off(self, k: int, schedule_multiplier: float) -> None:
+        self._gather_grads([k])
+        self.helper.hand(k, schedule_multiplier, self.step_count + 1)
+
     def step(self, schedule_multiplier: float = 1.0) -> None:
-        self._gather_grads()
+        own = self._own()
+        self._gather_grads(own)
+        helper = self.helper
+        if helper is not None:
+            for k in helper.groups:
+                if k not in helper.handed:
+                    self._hand_off(k, schedule_multiplier)
         self.step_count += 1
+        for k in own:
+            self._update(k, schedule_multiplier, self.step_count)
+        if helper is not None:
+            helper.wait()
+
+    def step_group(self, k: int, schedule_multiplier: float, count: int) -> None:
+        """Step group k as `step` does at step `count`, then zero its gradients:
+        the helper's share of a step."""
+        self._update(k, schedule_multiplier, count)
+        self._flat[k][3].fill(0.0)
+
+    def _update(self, k: int, schedule_multiplier: float, count: int) -> None:
+        group, (_, n_decayed, p, g, m, v) = self.groups[k], self._flat[k]
         b1, b2, eps = self.beta1, self.beta2, self.eps
-        bc1 = 1.0 - b1 ** self.step_count
-        bc2 = 1.0 - b2 ** self.step_count
-        for group, (_, n_decayed, p, g, m, v) in zip(self.groups, self._flat):
-            lr = group.base_lr * schedule_multiplier
-            shrink = 1.0 - lr * group.weight_decay
-            # each element sees the operations, operands and order of the
-            # per-tensor update (the reference in tests/test_optim.py), so the
-            # results are bit-identical to it
-            for lo in range(0, p.size, self.CHUNK):
-                hi = min(lo + self.CHUNK, p.size)
-                pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-                a, b = self._scratch[0, : hi - lo], self._scratch[1, : hi - lo]
-                mc *= b1
-                np.multiply(gc, 1.0 - b1, out=a)
-                mc += a
-                vc *= b2
-                np.multiply(gc, gc, out=a)
-                a *= 1.0 - b2
-                vc += a
-                if lo < n_decayed:
-                    pc[: n_decayed - lo] *= shrink
-                np.divide(mc, bc1, out=a)
-                a *= lr
-                np.divide(vc, bc2, out=b)
-                np.sqrt(b, out=b)
-                b += eps
-                a /= b
-                pc -= a
+        bc1 = 1.0 - b1 ** count
+        bc2 = 1.0 - b2 ** count
+        lr = group.base_lr * schedule_multiplier
+        shrink = 1.0 - lr * group.weight_decay
+        # each element sees the operations, operands and order of the
+        # per-tensor update (the reference in tests/test_optim.py), so the
+        # results are bit-identical to it
+        for lo in range(0, p.size, self.CHUNK):
+            hi = min(lo + self.CHUNK, p.size)
+            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = self._scratch[0, : hi - lo], self._scratch[1, : hi - lo]
+            mc *= b1
+            np.multiply(gc, 1.0 - b1, out=a)
+            mc += a
+            vc *= b2
+            np.multiply(gc, gc, out=a)
+            a *= 1.0 - b2
+            vc += a
+            if lo < n_decayed:
+                pc[: n_decayed - lo] *= shrink
+            np.divide(mc, bc1, out=a)
+            a *= lr
+            np.divide(vc, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            pc -= a
 
     def state_dict(self) -> dict:
         return {

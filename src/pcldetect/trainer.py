@@ -49,7 +49,9 @@ from .encoder import (
 from .errors import (
     ConfigError,
     ContractError,
+    HelperError,
     NumericsError,
+    ParseError,
     TrainingDivergedError,
 )
 from .files import atomic_open
@@ -75,11 +77,11 @@ logger = logging.getLogger(__name__)
 
 EVAL_BATCH = 16
 # A fold hands its periodic evaluations to a forked child, and lets its
-# in-process ones fork the prediction helper, when its first evaluation took
-# longer than this. Forking every evaluation slowed the benchmark's subtask-2
-# folds, whose evaluations take about 17 ms, by 12%, and forking the
-# prediction helper for each slowed them too; the subtask-1 folds' 450-650 ms
-# evaluations gain.
+# in-process ones fork the prediction helper, when its first evaluation's
+# first batch, times the number of batches, took longer than this. Forking
+# every evaluation slowed the benchmark's subtask-2 folds, whose evaluations
+# take about 17 ms, by 12%, and forking the prediction helper for each slowed
+# them too; the subtask-1 folds' 450-650 ms evaluations gain.
 FORK_MIN_EVAL_S = 0.05
 
 
@@ -281,6 +283,11 @@ def load_training_data(config: RunConfig) -> TrainingData:
                 for r in load_subtask1_tsv(config.negatives_path)
                 if binarize_label(r.raw_label) == 0
             ]
+            categorized = {r.par_id for r in records}
+            for r in extras:
+                if r.par_id in categorized:
+                    raise ParseError(f"{config.negatives_path}: negative par_id {r.par_id!r} "
+                                     f"is also a category paragraph in {config.data_path}")
             records = records + extras
             vector_list += [[0] * 7 for _ in extras]
             binary += [0] * len(extras)
@@ -415,6 +422,87 @@ def _kill(pid: int, shared) -> None:
     shared.close()
 
 
+class _OptimizerHelper:
+    """A forked child that steps AdamW groups while this process runs backward.
+
+    `hand(k, multiplier, count)` sends group k's index down a pipe; when no
+    group is outstanding it first writes the step's count and multiplier
+    into the child's shared mapping, which the child reads only while it
+    has a group to step. The child steps the group and zeroes its gradients
+    in the optimizer's shared buffers (`AdamW.step_group`), then returns
+    the index on a second pipe. `wait` reads one index per group handed; a
+    child that ended reads as end of file and raises HelperError, as does a
+    hand-off to it.
+    """
+
+    def __init__(self, optimizer: AdamW, groups: list[int]):
+        self.groups, self.handed = groups, []
+        their_cmd, self._cmd = os.pipe()
+        self._done, their_done = os.pipe()
+        try:
+            self._pid, self._shared = _fork(
+                lambda shared: self._serve(optimizer, shared, their_cmd, their_done), 16)
+        except BaseException:
+            os.close(self._cmd)
+            os.close(self._done)
+            raise
+        finally:
+            os.close(their_cmd)
+            os.close(their_done)
+
+    def _serve(self, optimizer: AdamW, shared, cmd: int, done: int) -> None:
+        """The child's loop, until this process closes its end of the pipe."""
+        os.close(self._cmd)
+        os.close(self._done)
+        while k := os.read(cmd, 1):
+            count, multiplier = struct.unpack_from("qd", shared)
+            optimizer.step_group(k[0], multiplier, count)
+            os.write(done, k)
+
+    def hand(self, k: int, multiplier: float, count: int) -> None:
+        if not self.handed:
+            struct.pack_into("qd", self._shared, 0, count, multiplier)
+        try:
+            os.write(self._cmd, bytes([k]))
+        except BrokenPipeError:
+            raise self._ended() from None
+        self.handed.append(k)
+
+    def wait(self) -> None:
+        while self.handed:
+            done = os.read(self._done, len(self.handed))
+            if not done:
+                raise self._ended()
+            del self.handed[: len(done)]
+
+    @staticmethod
+    def _ended() -> HelperError:
+        return HelperError("the optimizer helper process ended before stepping its groups")
+
+    def close(self) -> None:
+        """Kill and reap the child and close this process's pipe ends."""
+        _kill(self._pid, self._shared)
+        os.close(self._cmd)
+        os.close(self._done)
+
+
+def _optimizer_helper(optimizer: AdamW):
+    """A helper for every group but the first, or None.
+
+    The first group holds the embeddings, which the first tape nodes read,
+    so backward finishes it last and this process steps it meanwhile. The
+    helper forks only if `_may_fork()` and one of its groups spans more than
+    one `AdamW.CHUNK`: a smaller group costs more to hand off than it takes
+    to step.
+    """
+    theirs = list(range(1, len(optimizer.groups)))
+    sizes = [sum(optimizer.params[n].values.size for n in optimizer.groups[k].names)
+             for k in theirs]
+    if max(sizes, default=0) > optimizer.CHUNK and _may_fork():
+        return _OptimizerHelper(optimizer, theirs)
+    return None
+
+
 def _predict_token_ids(model: Model, token_ids, pad_id: int, helper: bool = True) -> np.ndarray:
     """Hard predictions (eval mode) for id sequences, in input order.
 
@@ -529,10 +617,12 @@ def _batch_golds(data: TrainingData, idx, subtask: int):
 class _Evaluation:
     """A fold's validation passes: history, best snapshot, patience and fork gate.
 
-    Once the first evaluation, timed in process and serially, took over
-    FORK_MIN_EVAL_S, each that cannot end the fold is scored in a forked child
-    while training goes on, if `_may_fork()`, and recorded before the next
-    starts or the epoch ends; the others use the prediction helper.
+    Before the first evaluation, one batch is timed in process and serially.
+    If that time, times the number of batches, exceeds FORK_MIN_EVAL_S, each
+    evaluation that cannot end the fold, the first included, is scored in a
+    forked child while training goes on, if `_may_fork()`, and recorded
+    before the next starts or the epoch ends; the others use the prediction
+    helper.
     """
 
     def __init__(self, model: Model, data: TrainingData, val_idx, patience: int):
@@ -550,16 +640,17 @@ class _Evaluation:
         """Evaluate the model as trained to `step`. An epoch's last evaluation (so
         the fold's last), and one that could spend patience, run in process."""
         self.settle()
+        if self.fork is None:
+            t0 = time.perf_counter()
+            eval_metric(self.model, self.data, self.val_idx[:EVAL_BATCH], helper=False)
+            batches = math.ceil(len(self.val_idx) / EVAL_BATCH)
+            self.fork = (time.perf_counter() - t0) * batches > FORK_MIN_EVAL_S
         decisive = last_of_epoch or self.since_improved + 1 >= self.patience
         if self.fork and not decisive and _may_fork():
             snapshot = self._snapshot(step)
             self.pending = (step, snapshot, *self._fork(snapshot))
             return
-        t0 = time.perf_counter()
-        metric = eval_metric(self.model, self.data, self.val_idx, helper=bool(self.fork))
-        if self.fork is None:
-            self.fork = time.perf_counter() - t0 > FORK_MIN_EVAL_S
-        self._record(step, metric)
+        self._record(step, eval_metric(self.model, self.data, self.val_idx, helper=self.fork))
 
     def _fork(self, snapshot):
         """Score `snapshot` in a child, which writes the metric as one float;
@@ -648,6 +739,7 @@ def train_fold(
     step = 0
     losses: list = []
     evaluation = _Evaluation(model, data, val_idx, config.patience_rounds)
+    optimizer.helper = _optimizer_helper(optimizer)
     try:
         for epoch in range(config.epochs):
             order = _epoch_order(config, data, train_idx, epoch, order_seeds)
@@ -666,7 +758,7 @@ def train_fold(
                         loss_val = loss.item()
                         if not math.isfinite(loss_val):
                             raise NumericsError(f"loss is {loss_val}")
-                        backward(loss)
+                        backward(loss, *optimizer.handoffs(multiplier))
                 except NumericsError as exc:
                     batch_ids = [data.records[i].par_id for i in idx]
                     raise TrainingDivergedError(
@@ -691,6 +783,8 @@ def train_fold(
             evaluation.run(step, last_of_epoch=True)
     finally:
         evaluation.close()
+        if optimizer.helper is not None:
+            optimizer.helper.close()
 
     ckpt_path = run_dir / f"fold{fold}.npz"
     _write_checkpoint(ckpt_path, config, data, optimizer.groups, evaluation.snapshot, fold,

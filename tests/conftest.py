@@ -17,6 +17,22 @@ def no_child_process_left():
 
 
 @pytest.fixture(autouse=True)
+def no_file_descriptor_left():
+    """Fail a test that leaves more file descriptors open than it found, such
+    as a forgotten end of a helper process's pipe; no check where the
+    platform has no /proc/self/fd."""
+    fds = "/proc/self/fd"
+    if not os.path.isdir(fds):
+        yield
+        return
+    before = len(os.listdir(fds))
+    yield
+    after = len(os.listdir(fds))
+    if after > before:
+        pytest.fail(f"{after - before} file descriptor(s) were left open")
+
+
+@pytest.fixture(autouse=True)
 def blas_threads_unchanged():
     """Fail a test that leaves numpy's OpenBLAS on another thread count."""
     before = blas.threads()

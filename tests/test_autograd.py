@@ -274,6 +274,54 @@ def test_backward_frees_the_tape():
     assert np.allclose(w.grad, 2.0 * np.tanh(w.values) * (1.0 - np.tanh(w.values) ** 2))
 
 
+def _chain(rng):
+    """loss = sum(tanh(x) * w * x): x is read by two nodes, w by one, z by none."""
+    x, w, z = (Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(3))
+    h = ag.tanh(x)  # node 0
+    y = ag.mul(ag.mul(h, w), x)  # nodes 1 and 2
+    return x, w, z, h, ag.reduce_sum(y)  # node 3
+
+
+def test_backward_callbacks_fire_once_each_after_the_last_node_that_reads_their_set():
+    events = []
+
+    def seen(name, *tensors):
+        # which gradients exist when the callback fires
+        return lambda: events.append((name, [t.grad is not None for t in tensors]))
+
+    with Tape():
+        x, w, z, h, loss = _chain(np.random.default_rng(0))
+        backward(loss, ([z], seen("z", h, w, x)), ([w], seen("w", h, w, x)),
+                 ([x], seen("x", h, w, x)), ([w, x], seen("w+x", h, w, x)))
+    assert events == [
+        ("z", [False, False, False]),  # no node reads z: before the first one is replayed
+        ("w", [True, True, True]),  # after node 1; node 2 already gave x a gradient
+        ("x", [True, True, True]),  # after node 0, the first node that reads x
+        ("w+x", [True, True, True]),
+    ]
+
+
+def test_a_backward_callback_sees_every_contribution_to_a_tensor_read_twice():
+    seen = {}
+    with Tape():
+        x, w, _, _, loss = _chain(np.random.default_rng(1))
+        backward(loss, ([x], lambda: seen.setdefault("x", x.grad.copy())))
+    t = np.tanh(x.values)
+    assert np.array_equal(seen["x"], x.grad)
+    assert np.allclose(x.grad, (1.0 - t**2) * w.values * x.values + t * w.values)
+
+
+def test_backward_callbacks_add_no_node_and_change_no_gradient():
+    runs = []
+    for with_callbacks in (False, True):
+        with Tape() as tape:
+            x, w, z, _, loss = _chain(np.random.default_rng(2))
+            hooks = [([t], lambda: None) for t in (x, w, z)] if with_callbacks else []
+            backward(loss, *hooks)
+        runs.append((len(tape), x.grad.tobytes(), w.grad.tobytes()))
+    assert runs[0] == runs[1] and runs[0][0] == 4
+
+
 def test_select_slice_keeps_axis_and_gradient():
     x = Tensor(np.random.default_rng(4).normal(size=(2, 5, 3)), requires_grad=True)
     kept = ag.select(x, slice(0, 2), axis=1)

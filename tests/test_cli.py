@@ -474,6 +474,10 @@ def test_config_commands_have_one_flag_per_run_config_field():
     ("ensemble --preds {latin1_preds} {latin1_preds} {latin1_preds} --out {out}",
      "{latin1_preds}: line 2: not UTF-8 text"),
     ("train --data {corpus} --out-dir {file}", "File exists: '{file}'"),
+    ("train --data {repeated} --out-dir {run}", "{repeated}: line 61: duplicate par_id"),
+    ("kfold --data {repeated} --out-dir {run}", "{repeated}: line 61: duplicate par_id"),
+    ("predict --checkpoint {missing} --data {repeated} --out {out}",
+     "{repeated}: line 61: duplicate par_id"),
 ], ids=["predict-out-dir", "predict-checkpoint-tsv", "predict-checkpoint-npy",
         "predict-checkpoint-version-2", "predict-checkpoint-version-3",
         "predict-checkpoint-name-twice",
@@ -483,11 +487,12 @@ def test_config_commands_have_one_flag_per_run_config_field():
         "predict-checkpoint-flipped-byte", "predict-checkpoint-empty",
         "predict-checkpoint-bad-central-directory", "checkpoint-dir",
         "data-dir", "config-dir", "data-not-utf8", "evaluate-not-utf8", "ensemble-not-utf8",
-        "out-dir-is-a-file"])
+        "out-dir-is-a-file", "train-duplicate-par-id", "kfold-duplicate-par-id",
+        "predict-duplicate-par-id"])
 def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_path, capsys,
                                                                  argv, message):
     paths = {name: tmp_path / name for name in
-             ("missing", "dir", "out", "run", "latin1", "latin1_preds", "file")}
+             ("missing", "dir", "out", "run", "latin1", "latin1_preds", "file", "repeated")}
     paths["corpus"], paths["array"] = corpus, tmp_path / "array.npy"
     np.save(paths["array"], np.zeros(3))
     paths["version2"] = tmp_path / "version2.npz"
@@ -526,6 +531,7 @@ def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_pat
     first_row = corpus.read_bytes().splitlines(keepends=True)[0]
     paths["latin1"].write_bytes(first_row + b"p9\ta9\tkw\tgb\tcaf\xe9 au lait\t0\n")
     paths["latin1_preds"].write_bytes(b"p1\t1\np\xe9\t0\n")
+    paths["repeated"].write_bytes(corpus.read_bytes() + first_row)  # 60 rows, then row 1 again
     code = main([arg.format(**paths) for arg in argv.split()])
     assert code == 1
     assert message.format(**paths) in _one_line_error(capsys)

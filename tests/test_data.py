@@ -211,6 +211,14 @@ def test_load_subtask1_errors_carry_line_numbers(tmp_path):
         load_subtask1_tsv(path)
 
 
+def test_load_subtask1_refuses_a_repeated_par_id_naming_both_lines(tmp_path):
+    path = tmp_path / "train.tsv"
+    write_tsv(path, [("p1", "a1", "kw", "gb", "text", "2"), ("p2", "a2", "kw", "gb", "more", "0"),
+                     ("p1", "a3", "kw", "us", "other text", "0")])
+    with pytest.raises(ParseError, match="line 3: duplicate par_id 'p1', first on line 1"):
+        load_subtask1_tsv(path)
+
+
 def test_load_subtask1_empty_file(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("", encoding="utf-8")

@@ -21,8 +21,10 @@ from pcldetect.errors import (
     ConfigError,
     ContractError,
     NumericsError,
+    ParseError,
     TrainingDivergedError,
 )
+from pcldetect.optim import AdamW
 from pcldetect.trainer import (
     RunConfig,
     build_model,
@@ -272,6 +274,21 @@ def test_subtask2_with_negatives_file(tmp_path):
     assert len(data.records) == 40 + n_neg
     assert data.label_vectors[40:].sum() == 0
     assert set(data.strat_labels) == {0, 1}
+
+
+def test_subtask2_refuses_a_negative_that_is_also_a_category_paragraph(tmp_path):
+    cats, negatives = tmp_path / "cats.tsv", tmp_path / "negatives.tsv"
+    cat_records = synthetic_category_records(n=20, seed=3)
+    write_category_tsv(cats, cat_records)
+    others = synthetic_binary_records(n=20, positive_frac=0.25, seed=4)
+    clash = dataclasses.replace(others[-1], par_id=cat_records[0].par_id, raw_label=0)
+    write_binary_tsv(negatives, others[:-1] + [clash])
+    config = tiny_config(cats, subtask=2, negatives_path=str(negatives))
+    with pytest.raises(ParseError, match=f"negative par_id '{clash.par_id}' is also a category"):
+        load_training_data(config)
+    # a positive row of the same paragraph is the expected overlap: it does not join
+    write_binary_tsv(negatives, others[:-1] + [dataclasses.replace(clash, raw_label=3)])
+    load_training_data(config)
 
 
 def test_fold_seed_controls_assignment(small_corpus):
@@ -708,9 +725,9 @@ def test_forked_evaluation_equals_in_process(small_corpus, tmp_path, monkeypatch
         config = tiny_config(path, subtask=2, epochs=4, eta=5e-2, k_folds=2,
                              eval_every_batches=3, patience_rounds=1000)
     (in_process, forked), forks = _in_process_and_forked(config, tmp_path, monkeypatch)
-    # every evaluation but the first and an epoch's last ran in a child
+    # every evaluation but an epoch's last ran in a child
     per_epoch = forked.planned_steps // config.epochs
-    here = {forked.history[0][0]} | {s for s, _ in forked.history if s % per_epoch == 0}
+    here = {s for s, _ in forked.history if s % per_epoch == 0}
     assert len(forks) == len(forked.history) - len(here) > 0
     assert len({m for _, m in forked.history}) > 1  # the metric moves
     assert _summary(forked) == _summary(in_process)
@@ -822,16 +839,40 @@ def test_a_pending_child_is_killed_when_training_raises(small_corpus, tmp_path, 
     assert time.monotonic() - started < 30
 
 
-@pytest.mark.parametrize("case", ["one core", "fast first evaluation", "another thread"])
+def _group_sizes(config, data):
+    named = build_model(config, len(data.vocab), np.random.default_rng(0)).named()
+    return [sum(named[n].values.size for n in g.names) for g in trainer.build_groups(config, named)]
+
+
+@pytest.mark.parametrize("case", ["one core", "fast first evaluation", "fast first batch",
+                                  "every group fits within one chunk", "another thread"])
 def test_nothing_forks_where_it_cannot_help_or_is_unsafe(small_corpus, tmp_path, monkeypatch,
                                                          case):
-    monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S",
-                        math.inf if case == "fast first evaluation" else 0.0)
+    min_eval_s = {"fast first evaluation": math.inf, "fast first batch": 0.1,
+                  "every group fits within one chunk": math.inf}
+    monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", min_eval_s.get(case, 0.0))
     monkeypatch.setattr(trainer, "_cores", lambda: 1 if case == "one core" else 2)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("an evaluation forked"))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("an evaluation or a helper forked"))
     config = tiny_config(small_corpus, epochs=2, patience_rounds=1000)
     data = load_training_data(config)
     train_idx, val_idx = make_folds(config, data).split(0)
+    sizes = _group_sizes(config, data)
+    # every group but the first, which this process steps, within one chunk; elsewhere
+    # chunks small enough for the helper to fork if it could
+    assert sizes[0] > max(sizes[1:]) > 64
+    chunk = max(sizes[1:]) if case == "every group fits within one chunk" else 64
+    if not case.startswith("fast"):
+        monkeypatch.setattr(AdamW, "CHUNK", chunk)
+    if case == "fast first batch":
+        inner = trainer.eval_metric
+
+        def slow_but_for_one_batch(model, data, indices, **kwargs):
+            if len(indices) > trainer.EVAL_BATCH:
+                time.sleep(0.2)  # a whole evaluation takes longer than FORK_MIN_EVAL_S
+            return inner(model, data, indices, **kwargs)
+
+        assert len(val_idx) > trainer.EVAL_BATCH
+        monkeypatch.setattr(trainer, "eval_metric", slow_but_for_one_batch)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait, args=(60,))
     if case == "another thread":
@@ -844,3 +885,87 @@ def test_nothing_forks_where_it_cannot_help_or_is_unsafe(small_corpus, tmp_path,
         other.join(10)
         assert not other.is_alive()
     assert len(outcome.history) > 2
+
+
+def _optimizer_helpers(monkeypatch):
+    """Give a tiny config's groups several chunks each, so a fold on two cores
+    forks the optimizer helper; returns each fold's helper (None where none forked)."""
+    monkeypatch.setattr(AdamW, "CHUNK", 64)
+    monkeypatch.setattr(trainer, "_cores", lambda: 2)
+    helpers, make = [], trainer._optimizer_helper
+
+    def recording(optimizer):
+        helpers.append(make(optimizer))
+        return helpers[-1]
+
+    monkeypatch.setattr(trainer, "_optimizer_helper", recording)
+    return helpers
+
+
+@pytest.mark.parametrize("subtask", [1, 2])
+def test_the_optimizer_helper_trains_as_one_process_does(small_corpus, tmp_path, monkeypatch,
+                                                         subtask):
+    if subtask == 1:
+        config = tiny_config(small_corpus, epochs=8, eta=2e-2, eval_every_batches=3,
+                             patience_rounds=1000)
+    else:
+        path = tmp_path / "cats.tsv"
+        write_category_tsv(path, synthetic_category_records(n=60, seed=3))
+        config = tiny_config(path, subtask=2, epochs=4, eta=5e-2, k_folds=2,
+                             eval_every_batches=3, patience_rounds=1000)
+    helpers = _optimizer_helpers(monkeypatch)
+    (one_core, two_cores), _ = _in_process_and_forked(config, tmp_path, monkeypatch)
+    assert helpers[0] is None and helpers[1].groups == [1, 2]  # upper and head
+    assert len({m for _, m in two_cores.history}) > 1  # the metric moves
+    assert _summary(two_cores) == _summary(one_core)
+
+
+def test_a_helper_killed_mid_fold_ends_train_with_one_error_line(small_corpus, tmp_path,
+                                                                 monkeypatch, capsys):
+    helpers = _optimizer_helpers(monkeypatch)
+    parent, inner = os.getpid(), AdamW.step_group
+
+    def step_or_die(self, k, multiplier, count):
+        if os.getpid() != parent and count == 5:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return inner(self, k, multiplier, count)
+
+    monkeypatch.setattr(AdamW, "step_group", step_or_die)
+    out_dir = tmp_path / "run"
+    code = main(["train", "--data", str(small_corpus), "--out-dir", str(out_dir),
+                 "--d-model", "16", "--n-heads", "2", "--n-layers", "2", "--d-ff", "32",
+                 "--max-len", "40", "--groups", "2", "--epochs", "2",
+                 "--eval-every-batches", "8", "--patience-rounds", "1000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the optimizer helper process ended") and err.count("\n") == 1, err
+    assert helpers[0] is not None
+    assert not (out_dir / "fold0.npz").exists()
+
+
+def test_a_raise_in_backward_kills_the_helper_stepping_its_groups(small_corpus, tmp_path,
+                                                                  monkeypatch):
+    helpers = _optimizer_helpers(monkeypatch)
+    parent, inner_step, inner_backward = os.getpid(), AdamW.step_group, trainer.backward
+
+    def slow_step(self, k, multiplier, count):
+        if os.getpid() != parent:
+            time.sleep(60)  # the helper, until it is killed
+        return inner_step(self, k, multiplier, count)
+
+    def backward_then_raise(loss, *on_done):
+        inner_backward(loss, *on_done)  # hands every helper group off
+        assert helpers[0].handed == [2, 1]  # the head, then the upper group
+        raise NumericsError("injected")
+
+    monkeypatch.setattr(AdamW, "step_group", slow_step)
+    monkeypatch.setattr(trainer, "backward", backward_then_raise)
+    config = tiny_config(small_corpus, epochs=2, patience_rounds=1000)
+    data = load_training_data(config)
+    train_idx, val_idx = make_folds(config, data).split(0)
+    started = time.monotonic()
+    with pytest.raises(TrainingDivergedError, match="injected"):
+        train_fold(config, data, train_idx, val_idx, 0, tmp_path)
+    assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):  # killed and reaped
+        os.waitpid(helpers[0]._pid, os.WNOHANG)
