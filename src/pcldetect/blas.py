@@ -1,10 +1,10 @@
 """One BLAS thread while pcldetect runs its own parallelism.
 
-Training may fork its evaluations and prediction forks a helper child, so
-the cores belong to those processes: BLAS threads on top of them compete
-for the same cores. `one_thread` sets numpy's bundled OpenBLAS
-(`numpy.libs/libscipy_openblas64_-*.so`) to one thread for its body. Where
-numpy uses another BLAS, it does nothing.
+Training and prediction run forked children (`trainer._Child`) beside
+the calling process, so the cores belong to those processes: BLAS threads
+on top of them compete for the same cores. `one_thread` sets numpy's
+bundled OpenBLAS (`numpy.libs/libscipy_openblas64_-*.so`) to one thread
+for its body. Where numpy uses another BLAS, it does nothing.
 """
 
 from __future__ import annotations

@@ -396,52 +396,77 @@ def _may_fork() -> bool:
     return hasattr(os, "fork") and _cores() >= 2 and threading.active_count() == 1
 
 
-def _fork(work, size: int):
-    """Run `work(shared)` in a forked child; returns (its pid, `shared`).
+class _Child:
+    """Work that a forked child does while this process goes on, if it can.
 
-    `shared` is an anonymous mapping of `size` bytes that the child writes
-    its result into. The child leaves through `os._exit`, with status 0 only
-    if `work` returned, so no handler or buffer of this process runs twice.
+    The child runs `work(shared)`, where `shared` is an anonymous mapping of
+    `size` bytes that it writes its result into, and leaves through
+    `os._exit`, with status 0 only if `work` returned, so no handler or
+    buffer of this process runs twice. `result()` waits for the child and
+    returns the mapping; if the fork raised OSError or the child did not
+    exit 0, one warning names the child and `work` runs here instead, so an
+    error is raised with its own type. `close()` kills and reaps a child not
+    waited for and drops `work`, which may refer to the child's owner. The
+    mapping is freed with its last reference, as a raised error may hold a
+    view of it.
     """
-    shared = mmap.mmap(-1, size)
-    pid = os.fork()
-    if pid == 0:
-        code = 1
+
+    def __init__(self, name: str, work, size: int):
+        self.name, self.work, self.shared = name, work, mmap.mmap(-1, size)
         try:
-            work(shared)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid, shared
+            self.pid = os.fork()
+        except OSError as exc:
+            logger.warning("the %s could not fork (%s); its work runs in process", name, exc)
+            self.pid = None
+        if self.pid == 0:
+            code = 1
+            try:
+                work(self.shared)
+                code = 0
+            finally:
+                os._exit(code)
 
+    def result(self):
+        if self.pid is not None:
+            status = os.waitpid(self.pid, 0)[1]
+            self.pid = None
+            if status == 0:
+                return self.shared
+            logger.warning("the %s ended with wait status %d; its work runs in process",
+                           self.name, status)
+        self.work(self.shared)
+        return self.shared
 
-def _kill(pid: int, shared) -> None:
-    """Kill and reap a child of `_fork` and close its mapping."""
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-    shared.close()
+    def close(self) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.work = None
 
 
 class _OptimizerHelper:
     """A forked child that steps AdamW groups while this process runs backward.
 
-    `hand(k, multiplier, count)` sends group k's index down a pipe; when no
-    group is outstanding it first writes the step's count and multiplier
-    into the child's shared mapping, which the child reads only while it
-    has a group to step. The child steps the group and zeroes its gradients
-    in the optimizer's shared buffers (`AdamW.step_group`), then returns
-    the index on a second pipe. `wait` reads one index per group handed; a
-    child that ended reads as end of file and raises HelperError, as does a
-    hand-off to it.
+    `hand(k, multiplier, count)` sends group k's index, the step's count and
+    its multiplier down a pipe in one 17-byte write, atomic below PIPE_BUF.
+    The child steps the group and zeroes its gradients in the optimizer's
+    shared buffers (`AdamW.step_group`), then returns the index on a second
+    pipe. `wait` reads one index per group handed; a child that ended reads
+    as end of file and raises HelperError, as does a hand-off to it: it may
+    have left a group partly stepped, so its work is not redone here. If the
+    fork is refused, `groups` is empty and this process steps every group.
     """
 
+    MESSAGE = struct.Struct("=Bqd")  # group index, step count, multiplier
+
     def __init__(self, optimizer: AdamW, groups: list[int]):
-        self.groups, self.handed = groups, []
+        self.handed = []
         their_cmd, self._cmd = os.pipe()
         self._done, their_done = os.pipe()
         try:
-            self._pid, self._shared = _fork(
-                lambda shared: self._serve(optimizer, shared, their_cmd, their_done), 16)
+            self._child = _Child("optimizer helper",
+                                 lambda _: self._serve(optimizer, their_cmd, their_done), 1)
         except BaseException:
             os.close(self._cmd)
             os.close(self._done)
@@ -449,21 +474,20 @@ class _OptimizerHelper:
         finally:
             os.close(their_cmd)
             os.close(their_done)
+        self.groups = groups if self._child.pid else []
 
-    def _serve(self, optimizer: AdamW, shared, cmd: int, done: int) -> None:
+    def _serve(self, optimizer: AdamW, cmd: int, done: int) -> None:
         """The child's loop, until this process closes its end of the pipe."""
         os.close(self._cmd)
         os.close(self._done)
-        while k := os.read(cmd, 1):
-            count, multiplier = struct.unpack_from("qd", shared)
-            optimizer.step_group(k[0], multiplier, count)
-            os.write(done, k)
+        while message := os.read(cmd, self.MESSAGE.size):
+            k, count, multiplier = self.MESSAGE.unpack(message)
+            optimizer.step_group(k, multiplier, count)
+            os.write(done, bytes([k]))
 
     def hand(self, k: int, multiplier: float, count: int) -> None:
-        if not self.handed:
-            struct.pack_into("qd", self._shared, 0, count, multiplier)
         try:
-            os.write(self._cmd, bytes([k]))
+            os.write(self._cmd, self.MESSAGE.pack(k, count, multiplier))
         except BrokenPipeError:
             raise self._ended() from None
         self.handed.append(k)
@@ -481,7 +505,7 @@ class _OptimizerHelper:
 
     def close(self) -> None:
         """Kill and reap the child and close this process's pipe ends."""
-        _kill(self._pid, self._shared)
+        self._child.close()
         os.close(self._cmd)
         os.close(self._done)
 
@@ -508,49 +532,37 @@ def _predict_token_ids(model: Model, token_ids, pad_id: int, helper: bool = True
 
     Rows are batched in order of token length (stable), so each batch pads
     little, and the predictions are scattered back to input order. With
-    `helper`, two or more batches and `_may_fork()`, a forked child computes
-    the odd batches and writes their labels as int8 into a shared mapping
-    while this process computes the even ones. A child that does not exit 0
-    has its batches computed again here, so an error is raised with its own
-    type. Each batch is computed as a serial loop computes it.
+    `helper`, two or more batches and `_may_fork()`, a `_Child` computes
+    the odd batches while this process computes the even ones, both writing
+    into the child's mapping. Each batch is computed as a serial loop
+    computes it.
     """
     if not token_ids:
         raise ContractError("no examples to predict")
     order = np.argsort([len(t) for t in token_ids], kind="stable")
     starts = range(0, order.size, EVAL_BATCH)
-    labels = np.empty((order.size, *(() if model.subtask == 1 else (NUM_CATEGORIES,))), int)
+    shape = (order.size, *(() if model.subtask == 1 else (NUM_CATEGORIES,)))
 
-    def run(share, out):
+    def run(share, shared) -> np.ndarray:
+        """Write the batches at `share` into `shared` as int8 labels; returns all it holds."""
+        out = np.frombuffer(shared, np.int8).reshape(shape)
         for start in share:
             ids = pad_batch(
                 [token_ids[i] for i in order[start : start + EVAL_BATCH]], pad_id=pad_id
             )
             out[start : start + EVAL_BATCH] = model.predict(model.forward(ids))
+        return out
 
+    preds = np.empty(shape, int)
     if helper and len(starts) >= 2 and _may_fork():
-        theirs = starts[1::2]
-        pid, shared = _fork(
-            lambda shared: run(theirs, np.frombuffer(shared, np.int8).reshape(labels.shape)),
-            labels.size,
-        )
+        child = _Child("prediction helper", lambda shared: run(starts[1::2], shared), preds.size)
         try:
-            run(starts[0::2], labels)
-            status = os.waitpid(pid, 0)[1]
-        except BaseException:
-            _kill(pid, shared)
-            raise
-        with shared:
-            if status == 0:
-                done = np.frombuffer(shared, np.int8).reshape(labels.shape).copy()
-                for start in theirs:
-                    labels[start : start + EVAL_BATCH] = done[start : start + EVAL_BATCH]
-            else:
-                logger.warning("prediction helper ended with wait status %d; "
-                               "predicting its batches in process", status)
-                run(theirs, labels)
+            labels = run(starts[0::2], child.shared)
+            child.result()  # the odd batches, in the same mapping
+        finally:
+            child.close()
     else:
-        run(starts, labels)
-    preds = np.empty_like(labels)
+        labels = run(starts, bytearray(preds.size))
     preds[order] = labels
     return preds
 
@@ -630,7 +642,7 @@ class _Evaluation:
         self.history: list = []  # [(step, metric), ...]
         self.best, self.best_step, self.snapshot, self.since_improved = -math.inf, -1, None, 0
         self.fork = None  # whether evaluations are slow enough to fork; None until timed
-        self.pending = None  # (step, snapshot at that step, child pid, its shared metric)
+        self.pending = None  # (step, snapshot at that step, the _Child scoring it)
 
     @property
     def stopped(self) -> bool:
@@ -648,44 +660,30 @@ class _Evaluation:
         decisive = last_of_epoch or self.since_improved + 1 >= self.patience
         if self.fork and not decisive and _may_fork():
             snapshot = self._snapshot(step)
-            self.pending = (step, snapshot, *self._fork(snapshot))
+
+            def score(shared):  # serially: the child's parent goes on training
+                model = Model.from_arrays(self.model.params.config, self.model.subtask,
+                                          snapshot[0])
+                metric = eval_metric(model, self.data, self.val_idx, helper=False)
+                struct.pack_into("d", shared, 0, metric)
+
+            self.pending = step, snapshot, _Child(f"evaluation child of step {step}", score, 8)
             return
         self._record(step, eval_metric(self.model, self.data, self.val_idx, helper=self.fork))
 
-    def _fork(self, snapshot):
-        """Score `snapshot` in a child, which writes the metric as one float;
-        returns (its pid, the mapping)."""
-        return _fork(lambda shared: struct.pack_into("d", shared, 0, self._score(snapshot)), 8)
-
-    def _score(self, snapshot) -> float:
-        """Score `snapshot` serially: a child's parent goes on training on the other core."""
-        model = Model.from_arrays(self.model.params.config, self.model.subtask, snapshot[0])
-        return eval_metric(model, self.data, self.val_idx, helper=False)
-
     def settle(self) -> None:
-        """Record the pending child's evaluation, waiting for it if need be.
-
-        A child that did not exit 0 (its evaluation raised, or it was killed)
-        is scored again here, on the snapshot it scored, so an evaluation
-        error is raised in this process with its own type.
-        """
+        """Record the pending child's evaluation, waiting for it if need be; one
+        that failed is scored again here, on the snapshot it scored."""
         if self.pending is not None:
-            step, snapshot, pid, shared = self.pending
-            status = os.waitpid(pid, 0)[1]
+            step, snapshot, child = self.pending
+            metric = struct.unpack("d", child.result())[0]
             self.pending = None
-            with shared:
-                if status == 0:
-                    metric = struct.unpack("d", shared)[0]
-                else:
-                    logger.warning("evaluation child of step %d ended with wait status %d; "
-                                   "evaluating in process", step, status)
-                    metric = self._score(snapshot)
             self._record(step, metric, snapshot)
 
     def close(self) -> None:
         """Kill and reap a child still evaluating because training raised."""
         if self.pending is not None:
-            _kill(*self.pending[2:])
+            self.pending[2].close()
             self.pending = None
 
     def _snapshot(self, step: int):

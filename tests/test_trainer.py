@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import errno
+import gc
 import json
 import logging
 import math
@@ -7,6 +10,7 @@ import shutil
 import signal
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +398,17 @@ def _all_forks(monkeypatch):
     return forks
 
 
+def _refuse_forks(monkeypatch, attempts):
+    """Make `os.fork` fail as it does at a process limit; each attempt adds None
+    to `attempts`."""
+
+    def refuse():
+        attempts.append(None)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
 @pytest.mark.parametrize("subtask", [1, 2])
 def test_forked_prediction_equals_a_serial_loop(small_corpus, subtask, monkeypatch):
     model, data = _mixed_label_model(small_corpus, subtask)
@@ -413,7 +428,7 @@ def test_forked_prediction_equals_a_serial_loop(small_corpus, subtask, monkeypat
         assert len(forks) == children
 
 
-@pytest.mark.parametrize("death", ["exit 3", "SIGKILL"])
+@pytest.mark.parametrize("death", ["exit 3", "SIGKILL", "fork refused"])
 def test_a_prediction_helper_that_dies_has_its_batches_computed_again(small_corpus, monkeypatch,
                                                                       death):
     monkeypatch.setattr(trainer, "_cores", lambda: 2)
@@ -432,6 +447,8 @@ def test_a_prediction_helper_that_dies_has_its_batches_computed_again(small_corp
 
     monkeypatch.setattr(model, "forward", forward_or_die)
     forks = _all_forks(monkeypatch)
+    if death == "fork refused":
+        _refuse_forks(monkeypatch, forks)
     assert np.array_equal(predict_indices(model, data, indices), serial)
     assert len(forks) == 1
 
@@ -670,17 +687,19 @@ def test_checkpoint_bytes_do_not_depend_on_paths(small_corpus, tmp_path):
 
 def _fork_counter(monkeypatch):
     """Let every evaluation that may fork do so; returns the pids of the
-    evaluation children (prediction helpers are not counted)."""
+    evaluation children (prediction helpers are not counted; None where the
+    fork was refused)."""
     monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", 0.0)
     monkeypatch.setattr(trainer, "_cores", lambda: 2)
-    forks, fork = [], trainer._Evaluation._fork
+    forks, child = [], trainer._Child
 
-    def counting(self, snapshot):
-        pid, shared = fork(self, snapshot)
-        forks.append(pid)
-        return pid, shared
+    def counting(name, work, size):
+        made = child(name, work, size)
+        if name.startswith("evaluation child"):
+            forks.append(made.pid)
+        return made
 
-    monkeypatch.setattr(trainer._Evaluation, "_fork", counting)
+    monkeypatch.setattr(trainer, "_Child", counting)
     return forks
 
 
@@ -777,7 +796,7 @@ def test_numerics_error_in_a_forked_evaluation_reaches_the_caller(
     assert not (out_dir / "fold0.npz").exists()
 
 
-@pytest.mark.parametrize("death", ["exit 3", "SIGKILL"])
+@pytest.mark.parametrize("death", ["exit 3", "SIGKILL", "fork refused"])
 def test_an_evaluation_child_that_dies_costs_one_evaluation(small_corpus, tmp_path, monkeypatch,
                                                              death):
     def die(model):
@@ -786,6 +805,8 @@ def test_an_evaluation_child_that_dies_costs_one_evaluation(small_corpus, tmp_pa
         os.kill(os.getpid(), signal.SIGKILL)
 
     _in_child(die, monkeypatch)
+    if death == "fork refused":
+        _refuse_forks(monkeypatch, [])
     config = tiny_config(small_corpus, epochs=8, eta=2e-2, eval_every_batches=3,
                          patience_rounds=1000)
     (in_process, forked), forks = _in_process_and_forked(config, tmp_path, monkeypatch)
@@ -902,9 +923,10 @@ def _optimizer_helpers(monkeypatch):
     return helpers
 
 
-@pytest.mark.parametrize("subtask", [1, 2])
+@pytest.mark.parametrize("subtask, refused", [(1, False), (2, False), (1, True)],
+                         ids=["1", "2", "1-fork refused"])
 def test_the_optimizer_helper_trains_as_one_process_does(small_corpus, tmp_path, monkeypatch,
-                                                         subtask):
+                                                         subtask, refused):
     if subtask == 1:
         config = tiny_config(small_corpus, epochs=8, eta=2e-2, eval_every_batches=3,
                              patience_rounds=1000)
@@ -914,8 +936,11 @@ def test_the_optimizer_helper_trains_as_one_process_does(small_corpus, tmp_path,
         config = tiny_config(path, subtask=2, epochs=4, eta=5e-2, k_folds=2,
                              eval_every_batches=3, patience_rounds=1000)
     helpers = _optimizer_helpers(monkeypatch)
+    if refused:  # the evaluation children's forks too
+        _refuse_forks(monkeypatch, [])
     (one_core, two_cores), _ = _in_process_and_forked(config, tmp_path, monkeypatch)
-    assert helpers[0] is None and helpers[1].groups == [1, 2]  # upper and head
+    # upper and head; none where the fork was refused, so this process steps them
+    assert helpers[0] is None and helpers[1].groups == ([] if refused else [1, 2])
     assert len({m for _, m in two_cores.history}) > 1  # the metric moves
     assert _summary(two_cores) == _summary(one_core)
 
@@ -947,6 +972,7 @@ def test_a_raise_in_backward_kills_the_helper_stepping_its_groups(small_corpus, 
                                                                   monkeypatch):
     helpers = _optimizer_helpers(monkeypatch)
     parent, inner_step, inner_backward = os.getpid(), AdamW.step_group, trainer.backward
+    pids = []
 
     def slow_step(self, k, multiplier, count):
         if os.getpid() != parent:
@@ -956,6 +982,7 @@ def test_a_raise_in_backward_kills_the_helper_stepping_its_groups(small_corpus, 
     def backward_then_raise(loss, *on_done):
         inner_backward(loss, *on_done)  # hands every helper group off
         assert helpers[0].handed == [2, 1]  # the head, then the upper group
+        pids.append(helpers[0]._child.pid)
         raise NumericsError("injected")
 
     monkeypatch.setattr(AdamW, "step_group", slow_step)
@@ -968,4 +995,46 @@ def test_a_raise_in_backward_kills_the_helper_stepping_its_groups(small_corpus, 
         train_fold(config, data, train_idx, val_idx, 0, tmp_path)
     assert time.monotonic() - started < 30
     with pytest.raises(ChildProcessError):  # killed and reaped
-        os.waitpid(helpers[0]._pid, os.WNOHANG)
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def test_a_fold_that_forked_the_optimizer_helper_frees_its_optimizer(small_corpus, tmp_path,
+                                                                     monkeypatch):
+    """With the cycle collector off, AdamW's shared buffers go as the fold returns."""
+    helpers = _optimizer_helpers(monkeypatch)
+    optimizers, make = [], trainer._optimizer_helper
+
+    def recording(optimizer):
+        optimizers.append(weakref.ref(optimizer))
+        return make(optimizer)
+
+    monkeypatch.setattr(trainer, "_optimizer_helper", recording)
+    config = tiny_config(small_corpus, epochs=1, patience_rounds=1000)
+    data = load_training_data(config)
+    train_idx, val_idx = make_folds(config, data).split(0)
+    gc.disable()
+    try:
+        train_fold(config, data, train_idx, val_idx, 0, tmp_path)
+        assert helpers[0].groups and optimizers[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_only_the_child_class_forks_waits_or_kills():
+    """Every child process has the one lifecycle of `trainer._Child`."""
+    names = {"fork", "waitpid", "kill"}
+
+    def process_calls(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr in names
+                and isinstance(n.value, ast.Name) and n.value.id == "os"]
+
+    inside, outside = set(), []
+    for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if (path.name, getattr(node, "name", None)) == ("trainer.py", "_Child"):
+                inside.update(n.attr for n in process_calls(node))
+            else:
+                outside += [f"{path.name}:{n.lineno}: os.{n.attr}" for n in process_calls(node)]
+    assert inside == names
+    assert not outside
