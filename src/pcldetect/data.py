@@ -232,12 +232,12 @@ def load_subtask2_labels(path) -> list[ParagraphRecord]:
     """Load category spans and OR-aggregate them into per-paragraph 7-bit vectors.
 
     The file is headerless, in SUBTASK2_COLUMNS order, one row per
-    (paragraph, category); duplicate categories set the same bit once.
+    (paragraph, category); duplicate categories set the same bit once. The
+    rows of one par_id must agree on every other column but the category.
     Returns one record per paragraph in first-seen order.
     """
     cat_index = {name: i for i, name in enumerate(CATEGORIES)}
-    rows: dict[str, dict] = {}
-    bits: dict[str, list[int]] = {}
+    rows: dict[str, tuple] = {}  # par_id -> (first line, fields, category bits)
     for lineno, (par_id, art_id, text, keyword, country, category) in _read_rows(
         path, len(SUBTASK2_COLUMNS)
     ):
@@ -247,12 +247,12 @@ def load_subtask2_labels(path) -> list[ParagraphRecord]:
                 f"{path}: line {lineno}: unknown category {category!r}; "
                 f"expected one of {list(CATEGORIES)}"
             )
-        if par_id not in rows:
-            rows[par_id] = dict(par_id=par_id, art_id=art_id, keyword=keyword,
-                                country=country, text=text)
-            bits[par_id] = [0] * NUM_CATEGORIES
-        bits[par_id][cat_index[category]] = 1
-    return [
-        ParagraphRecord(category_vector=tuple(bits[pid]), **fields)
-        for pid, fields in rows.items()
-    ]
+        fields = dict(par_id=par_id, art_id=art_id, text=text, keyword=keyword, country=country)
+        first, seen, bits = rows.setdefault(par_id, (lineno, fields, [0] * NUM_CATEGORIES))
+        differ = [name for name in fields if fields[name] != seen[name]]
+        if differ:
+            raise ParseError(f"{path}: line {lineno}: duplicate par_id {par_id!r} with another "
+                             f"{differ[0]}, first on line {first}")
+        bits[cat_index[category]] = 1
+    return [ParagraphRecord(category_vector=tuple(bits), **fields)
+            for _, fields, bits in rows.values()]

@@ -191,13 +191,13 @@ class AdamW:
     elements whose temporaries stay in cache, so a step issues a few ufunc
     calls per chunk, not per tensor.
 
-    With a `helper` set (`trainer._OptimizerHelper`), a forked process steps
-    and zeroes the groups in `helper.groups` (none if its fork was refused)
-    through `step_group`, and this process the others. `handoffs(multiplier)`
-    gives `backward` callbacks that hand each helper group off, with the
-    step's count and multiplier, as soon as backward is done with its
-    parameters; `step` hands off any group not yet handed, steps this
-    process's groups and waits for the helper.
+    With a `helper` set (`trainer._OptimizerHelper`), its forked process
+    steps and zeroes the groups in `helper.groups` through `step_group`, and
+    this process the others. `handoffs(multiplier)` gives `backward`
+    callbacks that hand each helper group off, with the step's count and
+    multiplier, as soon as backward is done with its parameters; `step`
+    hands off any group not yet handed, steps this process's groups and
+    waits for the helper.
     """
 
     CHUNK = 16384

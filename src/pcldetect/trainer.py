@@ -390,36 +390,40 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _may_fork() -> bool:
-    """Whether a forked child would have a core of its own and be safe to
-    fork: a fork copies only the calling thread."""
-    return hasattr(os, "fork") and _cores() >= 2 and threading.active_count() == 1
-
-
 class _Child:
-    """Work that a forked child does while this process goes on, if it can.
+    """Work that a forked child does while this process goes on, if it may.
 
-    The child runs `work(shared)`, where `shared` is an anonymous mapping of
-    `size` bytes that it writes its result into, and leaves through
-    `os._exit`, with status 0 only if `work` returned, so no handler or
-    buffer of this process runs twice. `result()` waits for the child and
-    returns the mapping; if the fork raised OSError or the child did not
-    exit 0, one warning names the child and `work` runs here instead, so an
-    error is raised with its own type. `close()` kills and reaps a child not
-    waited for and drops `work`, which may refer to the child's owner. The
-    mapping is freed with its last reference, as a raised error may hold a
-    view of it.
+    It forks only if `os.fork` exists, `_cores() >= 2`, one thread runs (a
+    fork copies only the calling thread), this process is not itself a
+    forked child and no fork of this process was refused; otherwise `pid`
+    is None. The child runs `work(shared)`, where `shared` is an anonymous
+    mapping of `size` bytes that it writes its result into, and leaves
+    through `os._exit`, with status 0 only if `work` returned, so no handler
+    or buffer of this process runs twice. `result()` waits for the child and
+    returns the mapping; if nothing forked or the child did not exit 0,
+    `work` runs here instead, so an error is raised with its own type.
+    `close()` kills and reaps a child not waited for and drops `work`, which
+    may refer to the child's owner. The mapping is freed with its last
+    reference, as a raised error may hold a view of it.
     """
+
+    barred = False  # True in a forked child, and here once a fork was refused
 
     def __init__(self, name: str, work, size: int):
         self.name, self.work, self.shared = name, work, mmap.mmap(-1, size)
+        self.pid = None
+        if (_Child.barred or not hasattr(os, "fork") or _cores() < 2
+                or threading.active_count() > 1):
+            return
         try:
             self.pid = os.fork()
         except OSError as exc:
-            logger.warning("the %s could not fork (%s); its work runs in process", name, exc)
-            self.pid = None
+            _Child.barred = True
+            logger.warning("the %s could not fork (%s); its work runs in process, and "
+                           "nothing else in this process will fork", name, exc)
+            return
         if self.pid == 0:
-            code = 1
+            _Child.barred, code = True, 1
             try:
                 work(self.shared)
                 code = 0
@@ -454,8 +458,7 @@ class _OptimizerHelper:
     shared buffers (`AdamW.step_group`), then returns the index on a second
     pipe. `wait` reads one index per group handed; a child that ended reads
     as end of file and raises HelperError, as does a hand-off to it: it may
-    have left a group partly stepped, so its work is not redone here. If the
-    fork is refused, `groups` is empty and this process steps every group.
+    have left a group partly stepped, so its work is not redone here.
     """
 
     MESSAGE = struct.Struct("=Bqd")  # group index, step count, multiplier
@@ -474,7 +477,7 @@ class _OptimizerHelper:
         finally:
             os.close(their_cmd)
             os.close(their_done)
-        self.groups = groups if self._child.pid else []
+        self.groups = groups
 
     def _serve(self, optimizer: AdamW, cmd: int, done: int) -> None:
         """The child's loop, until this process closes its end of the pipe."""
@@ -511,19 +514,22 @@ class _OptimizerHelper:
 
 
 def _optimizer_helper(optimizer: AdamW):
-    """A helper for every group but the first, or None.
+    """A forked helper for every group but the first, or None.
 
     The first group holds the embeddings, which the first tape nodes read,
     so backward finishes it last and this process steps it meanwhile. The
-    helper forks only if `_may_fork()` and one of its groups spans more than
-    one `AdamW.CHUNK`: a smaller group costs more to hand off than it takes
-    to step.
+    helper is asked for only if one of its groups spans more than one
+    `AdamW.CHUNK`: a smaller group costs more to hand off than it takes to
+    step.
     """
     theirs = list(range(1, len(optimizer.groups)))
     sizes = [sum(optimizer.params[n].values.size for n in optimizer.groups[k].names)
              for k in theirs]
-    if max(sizes, default=0) > optimizer.CHUNK and _may_fork():
-        return _OptimizerHelper(optimizer, theirs)
+    if max(sizes, default=0) > optimizer.CHUNK:
+        helper = _OptimizerHelper(optimizer, theirs)
+        if helper._child.pid is not None:
+            return helper
+        helper.close()
     return None
 
 
@@ -532,10 +538,9 @@ def _predict_token_ids(model: Model, token_ids, pad_id: int, helper: bool = True
 
     Rows are batched in order of token length (stable), so each batch pads
     little, and the predictions are scattered back to input order. With
-    `helper`, two or more batches and `_may_fork()`, a `_Child` computes
-    the odd batches while this process computes the even ones, both writing
-    into the child's mapping. Each batch is computed as a serial loop
-    computes it.
+    `helper` and two or more batches, a `_Child` computes the odd batches
+    while this process computes the even ones, both writing into the
+    child's mapping. Each batch is computed as a serial loop computes it.
     """
     if not token_ids:
         raise ContractError("no examples to predict")
@@ -554,7 +559,7 @@ def _predict_token_ids(model: Model, token_ids, pad_id: int, helper: bool = True
         return out
 
     preds = np.empty(shape, int)
-    if helper and len(starts) >= 2 and _may_fork():
+    if helper and len(starts) >= 2:
         child = _Child("prediction helper", lambda shared: run(starts[1::2], shared), preds.size)
         try:
             labels = run(starts[0::2], child.shared)
@@ -603,21 +608,18 @@ class FoldOutcome:
     wall_clock: float
 
 
-def _epoch_order(config, data, train_idx, epoch, order_seeds) -> np.ndarray:
-    """Index order for one epoch: a weighted-sampler draw or a plain shuffle."""
-    seed = order_seeds[epoch]
-    train_idx = np.asarray(train_idx)
-    if config.wrs:
-        labels = data.binary_labels[train_idx]
-        if labels.min() == labels.max():
-            logger.warning(
-                "training split has a single class; weighted sampler degenerates to uniform"
-            )
-            weights = np.ones(train_idx.size)
-        else:
-            weights = wrs_weights(labels).weights
-        return train_idx[draw_epoch(weights, train_idx.size, seed)]
-    return np.random.default_rng(seed).permutation(train_idx)
+def _epoch_orders(config, data, train_idx, order_seeds):
+    """Index order for each epoch, drawn as it starts: a weighted-sampler
+    draw, with the weights computed once per fold, or a plain shuffle."""
+    if not config.wrs:
+        return (np.random.default_rng(seed).permutation(train_idx) for seed in order_seeds)
+    labels = data.binary_labels[train_idx]
+    if labels.min() == labels.max():
+        logger.warning("training split has a single class; weighted sampler degenerates to uniform")
+        weights = np.ones(train_idx.size)
+    else:
+        weights = wrs_weights(labels).weights
+    return (train_idx[draw_epoch(weights, train_idx.size, seed)] for seed in order_seeds)
 
 
 def _batch_golds(data: TrainingData, idx, subtask: int):
@@ -629,12 +631,11 @@ def _batch_golds(data: TrainingData, idx, subtask: int):
 class _Evaluation:
     """A fold's validation passes: history, best snapshot, patience and fork gate.
 
-    Before the first evaluation, one batch is timed in process and serially.
-    If that time, times the number of batches, exceeds FORK_MIN_EVAL_S, each
-    evaluation that cannot end the fold, the first included, is scored in a
-    forked child while training goes on, if `_may_fork()`, and recorded
-    before the next starts or the epoch ends; the others use the prediction
-    helper.
+    Before the first evaluation, one batch is timed in process. If that
+    time, times the number of batches, exceeds FORK_MIN_EVAL_S, each
+    evaluation that cannot end the fold, the first included, is scored on
+    its snapshot by a `_Child` while training goes on, and recorded before
+    the next starts or the epoch ends; the others use the prediction helper.
     """
 
     def __init__(self, model: Model, data: TrainingData, val_idx, patience: int):
@@ -654,17 +655,17 @@ class _Evaluation:
         self.settle()
         if self.fork is None:
             t0 = time.perf_counter()
-            eval_metric(self.model, self.data, self.val_idx[:EVAL_BATCH], helper=False)
+            eval_metric(self.model, self.data, self.val_idx[:EVAL_BATCH])
             batches = math.ceil(len(self.val_idx) / EVAL_BATCH)
             self.fork = (time.perf_counter() - t0) * batches > FORK_MIN_EVAL_S
         decisive = last_of_epoch or self.since_improved + 1 >= self.patience
-        if self.fork and not decisive and _may_fork():
+        if self.fork and not decisive:
             snapshot = self._snapshot(step)
 
-            def score(shared):  # serially: the child's parent goes on training
+            def score(shared):
                 model = Model.from_arrays(self.model.params.config, self.model.subtask,
                                           snapshot[0])
-                metric = eval_metric(model, self.data, self.val_idx, helper=False)
+                metric = eval_metric(model, self.data, self.val_idx)
                 struct.pack_into("d", shared, 0, metric)
 
             self.pending = step, snapshot, _Child(f"evaluation child of step {step}", score, 8)
@@ -672,8 +673,8 @@ class _Evaluation:
         self._record(step, eval_metric(self.model, self.data, self.val_idx, helper=self.fork))
 
     def settle(self) -> None:
-        """Record the pending child's evaluation, waiting for it if need be; one
-        that failed is scored again here, on the snapshot it scored."""
+        """Record the pending evaluation, waiting for its child if need be; one
+        whose child did not fork or failed is scored here, on its snapshot."""
         if self.pending is not None:
             step, snapshot, child = self.pending
             metric = struct.unpack("d", child.result())[0]
@@ -739,8 +740,7 @@ def train_fold(
     evaluation = _Evaluation(model, data, val_idx, config.patience_rounds)
     optimizer.helper = _optimizer_helper(optimizer)
     try:
-        for epoch in range(config.epochs):
-            order = _epoch_order(config, data, train_idx, epoch, order_seeds)
+        for epoch, order in enumerate(_epoch_orders(config, data, train_idx, order_seeds)):
             for b in range(batches_per_epoch):
                 idx = order[b * config.batch_size : (b + 1) * config.batch_size]
                 ids = pad_batch([data.token_ids[i] for i in idx], pad_id=pad)

@@ -156,6 +156,28 @@ def test_train_predict_evaluate_round_trip(corpus, tmp_path, capsys):
     assert "f1\t" in capsys.readouterr().out
 
 
+def test_predict_reads_a_subtask2_category_file(tmp_path, capsys):
+    cats = tmp_path / "cats.tsv"
+    records = synthetic_category_records(n=60, seed=3)
+    write_category_tsv(cats, records)
+    assert len(cats.read_text(encoding="utf-8").splitlines()) == 87  # one row per category
+    out_dir = tmp_path / "run"
+    code = main(["train", "--subtask", "2", "--data", str(cats), "--out-dir", str(out_dir),
+                 "--k-folds", "2", *TINY_FLAGS])
+    assert code == 0
+    preds = tmp_path / "preds.tsv"
+    code = main(["predict", "--checkpoint", str(out_dir / "fold0.npz"), "--data", str(cats),
+                 "--input-format", "subtask2", "--out", str(preds)])
+    assert code == 0
+    lines = [line.split("\t") for line in preds.read_text(encoding="utf-8").splitlines()]
+    assert [par_id for par_id, _ in lines] == [r.par_id for r in records]  # first-seen order
+    assert all(len(bits.split(",")) == 7 and set(bits) <= set("01,") for _, bits in lines)
+    capsys.readouterr()
+    code = main(["evaluate", "--gold", str(cats), "--pred", str(preds), "--subtask", "2"])
+    assert code == 0
+    assert "macro_f1\t" in capsys.readouterr().out
+
+
 def test_config_file_with_flag_override(corpus, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -478,6 +500,8 @@ def test_config_commands_have_one_flag_per_run_config_field():
     ("kfold --data {repeated} --out-dir {run}", "{repeated}: line 61: duplicate par_id"),
     ("predict --checkpoint {missing} --data {repeated} --out {out}",
      "{repeated}: line 61: duplicate par_id"),
+    ("train --subtask 2 --data {conflicting} --out-dir {run}",
+     "{conflicting}: line 30: duplicate par_id 'q00000' with another text, first on line 1"),
 ], ids=["predict-out-dir", "predict-checkpoint-tsv", "predict-checkpoint-npy",
         "predict-checkpoint-version-2", "predict-checkpoint-version-3",
         "predict-checkpoint-name-twice",
@@ -488,11 +512,12 @@ def test_config_commands_have_one_flag_per_run_config_field():
         "predict-checkpoint-bad-central-directory", "checkpoint-dir",
         "data-dir", "config-dir", "data-not-utf8", "evaluate-not-utf8", "ensemble-not-utf8",
         "out-dir-is-a-file", "train-duplicate-par-id", "kfold-duplicate-par-id",
-        "predict-duplicate-par-id"])
+        "predict-duplicate-par-id", "train-subtask2-conflicting-par-id"])
 def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_path, capsys,
                                                                  argv, message):
     paths = {name: tmp_path / name for name in
-             ("missing", "dir", "out", "run", "latin1", "latin1_preds", "file", "repeated")}
+             ("missing", "dir", "out", "run", "latin1", "latin1_preds", "file", "repeated",
+              "conflicting")}
     paths["corpus"], paths["array"] = corpus, tmp_path / "array.npy"
     np.save(paths["array"], np.zeros(3))
     paths["version2"] = tmp_path / "version2.npz"
@@ -532,6 +557,9 @@ def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_pat
     paths["latin1"].write_bytes(first_row + b"p9\ta9\tkw\tgb\tcaf\xe9 au lait\t0\n")
     paths["latin1_preds"].write_bytes(b"p1\t1\np\xe9\t0\n")
     paths["repeated"].write_bytes(corpus.read_bytes() + first_row)  # 60 rows, then row 1 again
+    write_category_tsv(paths["conflicting"], synthetic_category_records(n=20, seed=3))
+    with open(paths["conflicting"], "a", encoding="utf-8") as fh:  # 29 rows, then q00000 again
+        fh.write("\t".join(("q00000", "b00000", "another text", "kw", "gb", "Metaphor")) + "\n")
     code = main([arg.format(**paths) for arg in argv.split()])
     assert code == 1
     assert message.format(**paths) in _one_line_error(capsys)

@@ -248,6 +248,21 @@ def test_load_subtask2_duplicate_rows_idempotent(tmp_path):
     assert record.category_vector == (0, 1, 0, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("column", ["art_id", "text", "keyword", "country"])
+def test_load_subtask2_refuses_a_par_id_whose_rows_disagree_naming_both_lines(tmp_path, column):
+    path = tmp_path / "cats.tsv"
+    first = dict(par_id="p1", art_id="a1", text="text", keyword="kw", country="gb")
+    other = {**first, column: "something else"}
+    write_tsv(path, [
+        (*first.values(), "Shallow solution"),
+        ("p2", "a2", "more", "kw", "us", "Metaphor"),
+        (*other.values(), "Compassion"),
+    ])
+    with pytest.raises(ParseError, match=f"line 3: duplicate par_id 'p1' with another {column}, "
+                                         "first on line 1"):
+        load_subtask2_labels(path)
+
+
 def test_load_subtask2_unknown_category(tmp_path):
     path = tmp_path / "cats.tsv"
     write_tsv(path, [("p1", "a1", "text", "kw", "gb", "Generosity")])

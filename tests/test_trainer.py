@@ -265,6 +265,26 @@ def test_subtask2_positives_only_warns_and_trains(tmp_path, caplog):
     assert 0.0 <= outcome.best_metric <= 1.0
 
 
+def test_a_fold_warns_of_a_single_class_once(tmp_path, caplog, monkeypatch):
+    path = tmp_path / "cats.tsv"
+    write_category_tsv(path, synthetic_category_records(n=60, seed=3))
+    config = tiny_config(path, subtask=2, epochs=3, k_folds=2, eval_every_batches=5,
+                         patience_rounds=1000)
+    data = load_training_data(config)
+    train_idx, val_idx = make_folds(config, data).split(0)
+    draws, draw = [], trainer.draw_epoch
+
+    def recording(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(trainer, "draw_epoch", recording)
+    with caplog.at_level(logging.WARNING):
+        outcome = train_fold(config, data, train_idx, val_idx, 0, tmp_path)
+    assert caplog.text.count("single class") == 1
+    assert len(draws) == 3 and outcome.steps_taken == outcome.planned_steps  # one per epoch
+
+
 def test_subtask2_with_negatives_file(tmp_path):
     cats = tmp_path / "cats.tsv"
     write_category_tsv(cats, synthetic_category_records(n=40, seed=4))
@@ -400,13 +420,14 @@ def _all_forks(monkeypatch):
 
 def _refuse_forks(monkeypatch, attempts):
     """Make `os.fork` fail as it does at a process limit; each attempt adds None
-    to `attempts`."""
+    to `attempts`. The refusal `_Child` remembers is undone after the test."""
 
     def refuse():
         attempts.append(None)
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(trainer._Child, "barred", False)
 
 
 @pytest.mark.parametrize("subtask", [1, 2])
@@ -687,19 +708,24 @@ def test_checkpoint_bytes_do_not_depend_on_paths(small_corpus, tmp_path):
 
 def _fork_counter(monkeypatch):
     """Let every evaluation that may fork do so; returns the pids of the
-    evaluation children (prediction helpers are not counted; None where the
-    fork was refused)."""
+    evaluation children whose fork was attempted (prediction helpers are not
+    counted; None where the fork was refused)."""
     monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", 0.0)
     monkeypatch.setattr(trainer, "_cores", lambda: 2)
-    forks, child = [], trainer._Child
+    forks, attempts, fork, init = [], [], os.fork, trainer._Child.__init__
 
-    def counting(name, work, size):
-        made = child(name, work, size)
-        if name.startswith("evaluation child"):
-            forks.append(made.pid)
-        return made
+    def attempt():
+        attempts.append(None)
+        return fork()
 
-    monkeypatch.setattr(trainer, "_Child", counting)
+    def counting(self, name, work, size):
+        tried = len(attempts)
+        init(self, name, work, size)
+        if name.startswith("evaluation child") and len(attempts) > tried:
+            forks.append(self.pid)
+
+    monkeypatch.setattr(os, "fork", attempt)
+    monkeypatch.setattr(trainer._Child, "__init__", counting)
     return forks
 
 
@@ -715,15 +741,18 @@ def _in_child(action, monkeypatch):
     monkeypatch.setattr(trainer, "eval_metric", eval_metric)
 
 
-def _in_process_and_forked(config, tmp_path, monkeypatch):
-    """Fold 0 trained with in-process evaluations, then with forked ones."""
+def _in_process_and_forked(config, tmp_path, monkeypatch, cores=2):
+    """Fold 0 trained on one core with every evaluation immediate and in
+    process, then on `cores` with every evaluation that may fork handed to a
+    `_Child` (deferred to where it is recorded, on one core)."""
     data = load_training_data(config)
     train_idx, val_idx = make_folds(config, data).split(0)
     forks = _fork_counter(monkeypatch)
     outcomes = []
-    for cores in (1, 2):
-        monkeypatch.setattr(trainer, "_cores", lambda: cores)
-        outcomes.append(train_fold(config, data, train_idx, val_idx, 0, tmp_path / str(cores)))
+    for run, (n, min_eval_s) in enumerate([(1, math.inf), (cores, 0.0)]):
+        monkeypatch.setattr(trainer, "_cores", lambda: n)
+        monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", min_eval_s)
+        outcomes.append(train_fold(config, data, train_idx, val_idx, 0, tmp_path / str(run)))
     return outcomes, forks
 
 
@@ -860,6 +889,47 @@ def test_a_pending_child_is_killed_when_training_raises(small_corpus, tmp_path, 
     assert time.monotonic() - started < 30
 
 
+@pytest.mark.parametrize("epochs, every, patience", [(8, 3, 1000), (6, 2, 2)])
+def test_a_one_core_fold_that_defers_its_evaluations_equals_the_in_process_run(
+    small_corpus, tmp_path, monkeypatch, epochs, every, patience
+):
+    """On one core, an evaluation slow enough to fork is scored where it is
+    recorded, on the snapshot taken at its step."""
+    config = tiny_config(small_corpus, epochs=epochs, eta=2e-2, eval_every_batches=every,
+                         patience_rounds=patience)
+    deferred, record = [], trainer._Evaluation._record
+
+    def recording(self, step, metric, snapshot=None):
+        deferred.append(snapshot is not None)  # a snapshot taken earlier than now
+        record(self, step, metric, snapshot)
+
+    monkeypatch.setattr(trainer._Evaluation, "_record", recording)
+    forks = _all_forks(monkeypatch)
+    (in_process, one_core), _ = _in_process_and_forked(config, tmp_path, monkeypatch, cores=1)
+    assert not forks and any(deferred)
+    # patience 2 stops the fold; otherwise the metric moves
+    assert in_process.stopped_early if patience == 2 else len({m for _, m in one_core.history}) > 1
+    assert _summary(one_core) == _summary(in_process)
+
+
+def test_a_refused_fork_is_tried_and_warned_about_once(small_corpus, tmp_path, monkeypatch,
+                                                       caplog):
+    monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", 0.0)
+    monkeypatch.setattr(trainer, "_cores", lambda: 2)
+    monkeypatch.setattr(AdamW, "CHUNK", 64)  # the optimizer helper would fork too
+    attempts = []
+    _refuse_forks(monkeypatch, attempts)
+    config = tiny_config(small_corpus, epochs=2, eval_every_batches=2, patience_rounds=1000)
+    data = load_training_data(config)
+    train_idx, val_idx = make_folds(config, data).split(0)
+    with caplog.at_level(logging.WARNING):
+        outcome = train_fold(config, data, train_idx, val_idx, 0, tmp_path)
+    warnings = [r.getMessage() for r in caplog.records if "could not fork" in r.getMessage()]
+    assert len(attempts) == 1
+    assert len(warnings) == 1 and "nothing else in this process will fork" in warnings[0]
+    assert len(outcome.history) > 2
+
+
 def _group_sizes(config, data):
     named = build_model(config, len(data.vocab), np.random.default_rng(0)).named()
     return [sum(named[n].values.size for n in g.names) for g in trainer.build_groups(config, named)]
@@ -940,7 +1010,8 @@ def test_the_optimizer_helper_trains_as_one_process_does(small_corpus, tmp_path,
         _refuse_forks(monkeypatch, [])
     (one_core, two_cores), _ = _in_process_and_forked(config, tmp_path, monkeypatch)
     # upper and head; none where the fork was refused, so this process steps them
-    assert helpers[0] is None and helpers[1].groups == ([] if refused else [1, 2])
+    assert helpers[0] is None
+    assert helpers[1] is None if refused else helpers[1].groups == [1, 2]
     assert len({m for _, m in two_cores.history}) > 1  # the metric moves
     assert _summary(two_cores) == _summary(one_core)
 
@@ -1021,20 +1092,30 @@ def test_a_fold_that_forked_the_optimizer_helper_frees_its_optimizer(small_corpu
 
 
 def test_only_the_child_class_forks_waits_or_kills():
-    """Every child process has the one lifecycle of `trainer._Child`."""
+    """Every child process has the one lifecycle and the one fork policy of
+    `trainer._Child`: only it calls these `os` functions or reads what decides
+    whether this process may fork."""
     names = {"fork", "waitpid", "kill"}
+    policy = {"_cores()", "threading.active_count()", "hasattr(os, 'fork')", "barred"}
 
     def process_calls(node):
-        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr in names
-                and isinstance(n.value, ast.Name) and n.value.id == "os"]
+        """(line, text) of each of `node`'s process calls and policy reads."""
+        for n in ast.walk(node):
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                if n.value.id == "os" and n.attr in names:
+                    yield n.lineno, f"os.{n.attr}"
+                elif n.attr == "barred":
+                    yield n.lineno, n.attr
+            elif isinstance(n, ast.Call) and ast.unparse(n) in policy:
+                yield n.lineno, ast.unparse(n)
 
     inside, outside = set(), []
     for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
             if (path.name, getattr(node, "name", None)) == ("trainer.py", "_Child"):
-                inside.update(n.attr for n in process_calls(node))
+                inside.update(text for _, text in process_calls(node))
             else:
-                outside += [f"{path.name}:{n.lineno}: os.{n.attr}" for n in process_calls(node)]
-    assert inside == names
+                outside += [f"{path.name}:{line}: {text}" for line, text in process_calls(node)]
+    assert inside == {f"os.{name}" for name in names} | policy
     assert not outside
