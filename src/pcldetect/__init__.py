@@ -11,8 +11,8 @@ from .data import ParagraphRecord, Vocabulary, stratified_kfold
 from .encoder import EncoderConfig, EncoderParams, encode_batch, pooler
 from .ensemble import RunReport, select_top_k, vote_binary, vote_multilabel
 from .metrics import macro_f1, prf1_positive
-from .optim import AdamW, ParamGroup, ScheduleState, build_grouped_llrd, cosine_warmup_multiplier
-from .sampler import SampleWeights, class_ratios, draw_epoch, wrs_weights
+from .optim import AdamW, ParamGroup, build_grouped_llrd, cosine_warmup_multiplier
+from .sampler import class_ratios, draw_epoch, wrs_weights
 from .trainer import RunConfig, run_kfold, run_single_fold, train_fold
 
 __version__ = "0.1.0"
@@ -25,8 +25,6 @@ __all__ = [
     "ParamGroup",
     "RunConfig",
     "RunReport",
-    "SampleWeights",
-    "ScheduleState",
     "Tape",
     "Tensor",
     "Vocabulary",

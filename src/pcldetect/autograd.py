@@ -234,29 +234,15 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy matmul semantics (batched dims broadcast)."""
-    if a.ndim == 0 or b.ndim == 0:
-        raise ShapeError(f"matmul needs at least 1-d operands, got {a.shape} and {b.shape}")
-    inner_a = a.shape[-1]
-    inner_b = b.shape[0] if b.ndim == 1 else b.shape[-2]
-    if inner_a != inner_b:
+    """Matrix product of operands of 2 or more axes (batched dims broadcast)."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs at least 2-d operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
 
     def bwd(g):
-        av, bv = a.values, b.values
-        a2 = av[None, :] if av.ndim == 1 else av
-        b2 = bv[:, None] if bv.ndim == 1 else bv
-        g2 = g
-        if av.ndim == 1:
-            g2 = np.expand_dims(g2, -2)
-        if bv.ndim == 1:
-            g2 = np.expand_dims(g2, -1)
-        ga = g2 @ b2.swapaxes(-1, -2)
-        gb = a2.swapaxes(-1, -2) @ g2
-        if av.ndim == 1:
-            ga = ga[..., 0, :]
-        if bv.ndim == 1:
-            gb = gb[..., 0]
+        ga = g @ b.values.swapaxes(-1, -2)
+        gb = a.values.swapaxes(-1, -2) @ g
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _make(a.values @ b.values, (a, b), bwd)

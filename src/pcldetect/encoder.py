@@ -51,9 +51,6 @@ class EncoderConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def param_shapes(config: EncoderConfig) -> dict:
     """Name -> shape of every encoder parameter, in the order they are drawn and stored."""
@@ -214,7 +211,7 @@ def save_checkpoint(
     """
     header = {
         "version": CHECKPOINT_VERSION,
-        "encoder_config": config.to_dict(),
+        "encoder_config": asdict(config),
         "meta": meta or {},
         "params": [[name, list(a.shape)] for name, a in arrays.items()],
     }

@@ -2,30 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .data import NUM_CATEGORIES
 from .errors import ContractError
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-
-def confusion(preds, golds) -> ConfusionCounts:
-    preds, golds = list(preds), list(golds)
-    if len(preds) != len(golds):
-        raise ContractError(f"length mismatch: {len(preds)} preds vs {len(golds)} golds")
-    if not preds:
-        raise ContractError("need at least one example")
-    tp = sum(1 for p, g in zip(preds, golds) if p and g)
-    fp = sum(1 for p, g in zip(preds, golds) if p and not g)
-    fn = sum(1 for p, g in zip(preds, golds) if not p and g)
-    return ConfusionCounts(tp, fp, fn, len(preds) - tp - fp - fn)
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -39,9 +17,16 @@ def f1_score(precision: float, recall: float) -> float:
 
 def prf1_positive(preds, golds) -> tuple[float, float, float]:
     """Precision, recall and F1 of the positive (label 1) class."""
-    c = confusion(preds, golds)
-    p = _safe_div(c.tp, c.tp + c.fp)
-    r = _safe_div(c.tp, c.tp + c.fn)
+    preds, golds = list(preds), list(golds)
+    if len(preds) != len(golds):
+        raise ContractError(f"length mismatch: {len(preds)} preds vs {len(golds)} golds")
+    if not preds:
+        raise ContractError("need at least one example")
+    tp = sum(1 for p, g in zip(preds, golds) if p and g)
+    fp = sum(1 for p, g in zip(preds, golds) if p and not g)
+    fn = sum(1 for p, g in zip(preds, golds) if not p and g)
+    p = _safe_div(tp, tp + fp)
+    r = _safe_div(tp, tp + fn)
     return p, r, f1_score(p, r)
 
 

@@ -3,7 +3,8 @@
 The encoder's hidden layers are split into G contiguous groups (embeddings
 ride with the lowest group) and adjacent groups' learning rates differ by
 the decay factor lambda; the pooler and classifier form an extra head group
-with a slightly higher rate than the top hidden group.
+with a slightly higher rate than the top hidden group. Every group's rate is
+scaled by `cosine_warmup_multiplier(step, total_steps, warmup_frac)`.
 """
 
 from __future__ import annotations
@@ -33,30 +34,18 @@ class ParamGroup:
     role: str  # "embeddings+lower" | "middle" | "upper" | "head"
 
 
-@dataclass
-class ScheduleState:
-    """Progress through a cosine-with-warmup schedule."""
-
-    step: int
-    total_steps: int
-    warmup_frac: float = 0.10
-
-    def __post_init__(self):
-        if self.total_steps <= 0:
-            raise ConfigError("total_steps must be positive")
-        if self.step < 0:
-            raise ContractError("step must be non-negative")
-
-
-def cosine_warmup_multiplier(state: ScheduleState) -> float:
+def cosine_warmup_multiplier(step: int, total_steps: int, warmup_frac: float) -> float:
     """Linear ramp to 1.0 over the first warmup fraction, cosine decay to 0.0."""
-    t, total = state.step, state.total_steps
-    if t > total:
-        raise ContractError(f"step {t} is past total_steps {total}")
-    w = int(round(state.warmup_frac * total))
-    if t <= w and w > 0:
-        return t / w
-    return 0.5 * (1.0 + math.cos(math.pi * (t - w) / (total - w)))
+    if total_steps <= 0:
+        raise ConfigError("total_steps must be positive")
+    if step < 0:
+        raise ContractError("step must be non-negative")
+    if step > total_steps:
+        raise ContractError(f"step {step} is past total_steps {total_steps}")
+    w = int(round(warmup_frac * total_steps))
+    if step <= w and w > 0:
+        return step / w
+    return 0.5 * (1.0 + math.cos(math.pi * (step - w) / (total_steps - w)))
 
 
 def _ratio_exact_product(lower: float, lam: float) -> float:
@@ -175,7 +164,7 @@ def decays(name: str) -> bool:
 class AdamW:
     """Decoupled-weight-decay Adam over parameter groups.
 
-    beta1=0.9, beta2=0.999, eps=1e-8 with bias correction. Weight decay is
+    BETA1=0.9, BETA2=0.999, EPS=1e-8 with bias correction. Weight decay is
     applied as theta <- theta - lr * wd * theta (decoupled from the adaptive
     step) and skipped for biases and layer-norm parameters.
 
@@ -201,9 +190,9 @@ class AdamW:
     """
 
     CHUNK = 16384
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, groups: list[ParamGroup], params: dict,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, groups: list[ParamGroup], params: dict):
         grouped = [n for g in groups for n in g.names]
         if len(grouped) != len(set(grouped)):
             raise ConfigError("parameter groups overlap")
@@ -212,7 +201,6 @@ class AdamW:
             raise ConfigError(f"groups do not partition the parameters: {sorted(missing)}")
         self.groups = groups
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.helper = None
         self._m, self._v, self._grads = {}, {}, {}
@@ -307,7 +295,7 @@ class AdamW:
 
     def _update(self, k: int, schedule_multiplier: float, count: int) -> None:
         group, (_, n_decayed, p, g, m, v) = self.groups[k], self._flat[k]
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        b1, b2, eps = self.BETA1, self.BETA2, self.EPS
         bc1 = 1.0 - b1 ** count
         bc2 = 1.0 - b2 ** count
         lr = group.base_lr * schedule_multiplier

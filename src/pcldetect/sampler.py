@@ -3,26 +3,18 @@
 Each example is drawn with probability proportional to 1/sqrt(kappa) of its
 class ratio, so an epoch of draws (with replacement, epoch length equal to
 the training-set length) sees the positive class at rate
-sqrt(kappa_p) / (sqrt(kappa_p) + sqrt(kappa_n)).
+sqrt(kappa_p) / (sqrt(kappa_p) + sqrt(kappa_n)). `wrs_weights` returns those
+weights as an array, `class_ratios` the ratios they come from, and
+`draw_epoch` draws an epoch from any positive weight array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DegenerateDistributionError
-
-
-@dataclass(frozen=True)
-class SampleWeights:
-    """Per-example draw weights plus the class ratios they came from."""
-
-    weights: np.ndarray
-    kappa_pos: float
-    kappa_neg: float
 
 
 def class_ratios(binary_labels) -> tuple[float, float]:
@@ -40,21 +32,20 @@ def class_ratios(binary_labels) -> tuple[float, float]:
     return kappa_pos, 1.0 - kappa_pos
 
 
-def wrs_weights(binary_labels) -> SampleWeights:
-    """Assign 1/sqrt(kappa_p) to positives and 1/sqrt(kappa_n) to negatives."""
+def wrs_weights(binary_labels) -> np.ndarray:
+    """Per-example draw weights: 1/sqrt(kappa_p) for positives, 1/sqrt(kappa_n) for negatives."""
     labels = np.asarray(binary_labels)
     kappa_pos, kappa_neg = class_ratios(labels)
-    weights = np.where(labels != 0, 1.0 / math.sqrt(kappa_pos), 1.0 / math.sqrt(kappa_neg))
-    return SampleWeights(weights, kappa_pos, kappa_neg)
+    return np.where(labels != 0, 1.0 / math.sqrt(kappa_pos), 1.0 / math.sqrt(kappa_neg))
 
 
 def draw_epoch(weights, n: int, rng_seed) -> np.ndarray:
     """Draw n indices independently with replacement, P(i) = w_i / sum(w).
 
-    `weights` may be a SampleWeights or any positive weight array; the draw
-    is a pure function of (weights, n, rng_seed).
+    `weights` is a positive weight array; the draw is a pure function of
+    (weights, n, rng_seed).
     """
-    w = np.asarray(getattr(weights, "weights", weights), dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     if n < 1:
         raise ContractError("epoch length must be at least 1")
     if w.ndim != 1 or w.size == 0:

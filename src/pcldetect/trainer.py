@@ -1,4 +1,9 @@
-"""Training orchestration: fold loops, sampler epochs, early stopping, checkpoints."""
+"""Training orchestration: fold loops, sampler epochs, early stopping, checkpoints.
+
+A `Model` is an `EncoderParams` whose table also holds the subtask's
+classifier; `TrainingData.golds` holds the targets that both the loss and
+the metric read.
+"""
 
 from __future__ import annotations
 
@@ -66,7 +71,6 @@ from .heads import (
 from .metrics import macro_f1, prf1_positive
 from .optim import (
     AdamW,
-    ScheduleState,
     build_grouped_llrd,
     build_single_group,
     cosine_warmup_multiplier,
@@ -261,8 +265,8 @@ class TrainingData:
 
     records: list[ParagraphRecord]
     token_ids: list[list[int]]
-    binary_labels: np.ndarray  # contains-PCL flag, drives WRS and subtask 1
-    label_vectors: np.ndarray | None  # (n, 7) for subtask 2
+    binary_labels: np.ndarray  # contains-PCL flag, drives WRS
+    golds: np.ndarray  # the loss's and metric's targets: binary_labels, or (n, 7) floats
     strat_labels: list
     vocab: Vocabulary
 
@@ -270,7 +274,6 @@ class TrainingData:
 def load_training_data(config: RunConfig) -> TrainingData:
     if config.subtask == 1:
         records = load_subtask1_tsv(config.data_path)
-        vectors = None
         binary = [binarize_label(r.raw_label) for r in records]
         strat = binary
     else:
@@ -294,13 +297,14 @@ def load_training_data(config: RunConfig) -> TrainingData:
             strat = list(binary)
         else:
             strat = _dominant_categories(vector_list)
-        vectors = np.asarray(vector_list, dtype=np.float64)
     if not records:
         raise ConfigError(f"no training examples in {config.data_path}")
     texts = [compose_input(r) for r in records]
     vocab = Vocabulary.build(texts)
     token_ids = [tokenize(t, vocab, config.max_len) for t in texts]
-    return TrainingData(list(records), token_ids, np.asarray(binary), vectors, list(strat), vocab)
+    binary = np.asarray(binary)
+    golds = binary if config.subtask == 1 else np.asarray(vector_list, dtype=np.float64)
+    return TrainingData(list(records), token_ids, binary, golds, list(strat), vocab)
 
 
 def _dominant_categories(vector_list) -> list[int]:
@@ -330,10 +334,12 @@ def model_shapes(config: EncoderConfig, subtask: int) -> dict:
             "classifier.weight": (width, config.d_model), "classifier.bias": (width,)}
 
 
-@dataclass
-class Model:
-    params: EncoderParams  # every name of `model_shapes`
-    subtask: int
+class Model(EncoderParams):
+    """Every parameter of `model_shapes` as Tensors, with the config and subtask."""
+
+    def __init__(self, config: EncoderConfig, tensors: dict, subtask: int):
+        super().__init__(config, tensors)
+        self.subtask = subtask
 
     @classmethod
     def from_arrays(cls, config: EncoderConfig, subtask: int, arrays: dict) -> "Model":
@@ -341,15 +347,12 @@ class Model:
         checkpoint's views); the one place a model's Tensors are made."""
         tensors = {name: ag.Tensor(arrays[name], requires_grad=True)
                    for name in model_shapes(config, subtask)}
-        return cls(EncoderParams(config, tensors), subtask)
-
-    def named(self) -> dict:
-        return self.params.tensors
+        return cls(config, tensors, subtask)
 
     def forward(self, ids, train=False, rng=None):
         """Class logits of either width (`binary_forward` is `multilabel_forward`)."""
-        h = pooler(encode_batch(self.params, ids, train=train, rng=rng), self.params)
-        return binary_forward(h, self.params)
+        h = pooler(encode_batch(self, ids, train=train, rng=rng), self)
+        return binary_forward(h, self)
 
     def loss(self, z, golds):
         return binary_loss(z, golds) if self.subtask == 1 else bce_loss(z, golds)
@@ -582,11 +585,10 @@ def eval_metric(model: Model, data: TrainingData, indices, helper: bool = True) 
     """Positive-class F1 (subtask 1) or macro F1 (subtask 2) on the given split;
     `helper` as for `_predict_token_ids`."""
     preds = predict_indices(model, data, indices, helper)
+    golds = data.golds[indices]
     if model.subtask == 1:
-        golds = data.binary_labels[indices]
         return prf1_positive(preds.tolist(), golds.tolist())[2]
-    golds = data.label_vectors[indices].astype(int)
-    return macro_f1([tuple(p) for p in preds], [tuple(g) for g in golds])[1]
+    return macro_f1([tuple(p) for p in preds], [tuple(g) for g in golds.astype(int)])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +620,8 @@ def _epoch_orders(config, data, train_idx, order_seeds):
         logger.warning("training split has a single class; weighted sampler degenerates to uniform")
         weights = np.ones(train_idx.size)
     else:
-        weights = wrs_weights(labels).weights
+        weights = wrs_weights(labels)
     return (train_idx[draw_epoch(weights, train_idx.size, seed)] for seed in order_seeds)
-
-
-def _batch_golds(data: TrainingData, idx, subtask: int):
-    if subtask == 1:
-        return data.binary_labels[idx]
-    return data.label_vectors[idx]
 
 
 class _Evaluation:
@@ -660,11 +656,10 @@ class _Evaluation:
             self.fork = (time.perf_counter() - t0) * batches > FORK_MIN_EVAL_S
         decisive = last_of_epoch or self.since_improved + 1 >= self.patience
         if self.fork and not decisive:
-            snapshot = self._snapshot(step)
+            snapshot = self._snapshot()
 
             def score(shared):
-                model = Model.from_arrays(self.model.params.config, self.model.subtask,
-                                          snapshot[0])
+                model = Model.from_arrays(self.model.config, self.model.subtask, snapshot)
                 metric = eval_metric(model, self.data, self.val_idx)
                 struct.pack_into("d", shared, 0, metric)
 
@@ -687,15 +682,15 @@ class _Evaluation:
             self.pending[2].close()
             self.pending = None
 
-    def _snapshot(self, step: int):
-        return {name: t.values.copy() for name, t in self.model.named().items()}, step
+    def _snapshot(self) -> dict:
+        return {name: t.values.copy() for name, t in self.model.tensors.items()}
 
     def _record(self, step: int, metric: float, snapshot=None) -> None:
         """The one place an evaluation is recorded; no `snapshot` means take one now."""
         self.history.append((step, metric))
         if metric > self.best:
             self.best, self.best_step = metric, step
-            self.snapshot = snapshot or self._snapshot(step)
+            self.snapshot = snapshot or self._snapshot()
             self.since_improved = 0
         else:
             self.since_improved += 1
@@ -725,8 +720,7 @@ def train_fold(
 
     init_ss, dropout_ss, order_ss = np.random.SeedSequence([config.seed, fold]).spawn(3)
     model = build_model(config, len(data.vocab), np.random.default_rng(init_ss))
-    named = model.named()
-    optimizer = AdamW(build_groups(config, named), named)
+    optimizer = AdamW(build_groups(config, model.tensors), model.tensors)
     dropout_rng = np.random.default_rng(dropout_ss)
     order_seeds = order_ss.spawn(config.epochs)
 
@@ -744,11 +738,9 @@ def train_fold(
             for b in range(batches_per_epoch):
                 idx = order[b * config.batch_size : (b + 1) * config.batch_size]
                 ids = pad_batch([data.token_ids[i] for i in idx], pad_id=pad)
-                golds = _batch_golds(data, idx, config.subtask)
+                golds = data.golds[idx]
                 step += 1
-                multiplier = cosine_warmup_multiplier(
-                    ScheduleState(step, total_steps, config.warmup_frac)
-                )
+                multiplier = cosine_warmup_multiplier(step, total_steps, config.warmup_frac)
                 optimizer.zero_grad()
                 try:
                     with Tape():
@@ -785,8 +777,8 @@ def train_fold(
             optimizer.helper.close()
 
     ckpt_path = run_dir / f"fold{fold}.npz"
-    _write_checkpoint(ckpt_path, config, data, optimizer.groups, evaluation.snapshot, fold,
-                      total_steps)
+    _write_checkpoint(ckpt_path, config, data, optimizer.groups, evaluation.snapshot,
+                      evaluation.best_step, fold, total_steps)
     return FoldOutcome(
         fold=fold,
         best_metric=evaluation.best,
@@ -806,15 +798,14 @@ def train_fold(
 _PATH_KEYS = ("data_path", "negatives_path", "out_dir")
 
 
-def _write_checkpoint(path, config, data, groups, snapshot, fold, total_steps):
-    arrays, step = snapshot
+def _write_checkpoint(path, config, data, groups, arrays, best_step, fold, total_steps):
     run_config = {k: v for k, v in config.to_dict().items() if k not in _PATH_KEYS}
     meta = {
         "run_config": run_config,
         "subtask": config.subtask,
         "fold": fold,
         "vocab": data.vocab.tokens,
-        "schedule": {"snapshot_step": step, "total_steps": total_steps},
+        "schedule": {"snapshot_step": best_step, "total_steps": total_steps},
         "optimizer_groups": [
             {"role": g.role, "base_lr": g.base_lr, "weight_decay": g.weight_decay,
              "names": list(g.names)}
@@ -975,7 +966,7 @@ def predict_records(ckpt_path, records):
     """Predict labels for paragraph records; returns (par_ids, labels)."""
     heap.keep_freed_memory()
     model, vocab, meta = load_model(ckpt_path)
-    max_len = model.params.config.max_len
+    max_len = model.config.max_len
     token_ids = [tokenize(compose_input(r), vocab, max_len) for r in records]
     flat = _predict_token_ids(model, token_ids, vocab.pad_id)
     if model.subtask == 1:

@@ -26,8 +26,8 @@ from pcldetect.heads import (
     multilabel_forward,
 )
 from pcldetect.metrics import f1_score, macro_average, macro_f1, prf1_positive
-from pcldetect.optim import ScheduleState, build_grouped_llrd, cosine_warmup_multiplier
-from pcldetect.sampler import draw_epoch, wrs_weights
+from pcldetect.optim import build_grouped_llrd, cosine_warmup_multiplier
+from pcldetect.sampler import class_ratios, draw_epoch, wrs_weights
 from pcldetect.trainer import (
     Model,
     RunConfig,
@@ -115,7 +115,7 @@ def _tiny_model(subtask, rng):
         max_len=8, dropout_rate=0.0,
     )
     arrays = init_arrays(model_shapes(config, subtask), rng)
-    return Model.from_arrays(config, subtask, arrays).params
+    return Model.from_arrays(config, subtask, arrays)
 
 
 def test_acceptance_gradient_suite():
@@ -218,11 +218,11 @@ def test_acceptance_wrs_distribution():
         n_pos, n_total = CORPUS_COUNTS
         labels = np.zeros(n_total, dtype=int)
         labels[:n_pos] = 1
-        sw = wrs_weights(labels)
-        expected = math.sqrt(sw.kappa_pos) / (math.sqrt(sw.kappa_pos) + math.sqrt(sw.kappa_neg))
+        weights, (kappa_pos, kappa_neg) = wrs_weights(labels), class_ratios(labels)
+        expected = math.sqrt(kappa_pos) / (math.sqrt(kappa_pos) + math.sqrt(kappa_neg))
         assert abs(expected - 0.2445) < 2e-4  # 0.24455..., printed truncated as 0.2445
         for seed in range(20):
-            idx = draw_epoch(sw, n_total, rng_seed=seed)
+            idx = draw_epoch(weights, n_total, rng_seed=seed)
             assert len(idx) == n_total  # epoch length equals dataset length
             frac = float((idx < n_pos).mean())
             assert abs(frac - expected) <= 0.013, (seed, frac)
@@ -250,7 +250,7 @@ def test_acceptance_schedule():
     with criterion("schedule: 1.0 at warmup end, 0.5 at midpoint, 0.0 at final step"):
         total = 20_000_000_000  # warmup length 2e9: step granularity 1/w beats the 1e-9 joint bound
         w = round(0.10 * total)
-        mult = lambda t: cosine_warmup_multiplier(ScheduleState(t, total, 0.10))
+        mult = lambda t: cosine_warmup_multiplier(t, total, 0.10)
         assert mult(w) == 1.0
         assert abs(mult(w - 1) - mult(w)) < 1e-9
         assert abs(mult(w + 1) - mult(w)) < 1e-9

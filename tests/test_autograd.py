@@ -43,16 +43,17 @@ def test_matmul_gradient_matches_finite_differences():
     assert err < 1e-6
 
 
-def test_matmul_batched_and_vector_gradients():
+def test_matmul_batched_gradients_and_vector_operand_refused():
     rng = np.random.default_rng(1)
     a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(2, 3, 5, 4)), requires_grad=True)
     err = check_gradients(lambda: ag.matmul(a, b).sum(), [a, b])
     assert err < 1e-6
     w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    v = Tensor(rng.normal(size=(4,)), requires_grad=True)
-    err = check_gradients(lambda: ag.matmul(w, v).sum(), [w, v])
-    assert err < 1e-6
+    u, v = Tensor(rng.normal(size=(3,))), Tensor(rng.normal(size=(4,)))
+    for x, y in ((w, v), (u, w), (v, v), (Tensor(2.0), w)):
+        with pytest.raises(ShapeError, match="at least 2-d operands"):
+            ag.matmul(x, y)
 
 
 def test_softmax_symmetry():

@@ -3,8 +3,6 @@ import pytest
 
 from pcldetect.errors import ContractError
 from pcldetect.metrics import (
-    ConfusionCounts,
-    confusion,
     f1_score,
     format_report,
     macro_average,
@@ -25,11 +23,6 @@ def test_perfect_predictions():
 
 def test_no_predicted_positives_zero_convention():
     assert prf1_positive([0, 0, 0], [1, 0, 1]) == (0.0, 0.0, 0.0)
-
-
-def test_confusion_counts_sum():
-    c = confusion([1, 0, 1, 0], [1, 1, 0, 0])
-    assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
 
 
 def test_length_mismatch_rejected():

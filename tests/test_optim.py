@@ -8,7 +8,6 @@ from pcldetect.errors import ConfigError, ContractError
 from pcldetect.optim import (
     AdamW,
     ParamGroup,
-    ScheduleState,
     build_grouped_llrd,
     build_single_group,
     cosine_warmup_multiplier,
@@ -317,7 +316,7 @@ S1_VOCAB = 53  # 311,810 parameters, as in the benchmark's s1_fold model
 
 def s1_model_params(seed=5, **overrides):
     config = RunConfig(**{**S1_MODEL, **overrides})
-    named = build_model(config, S1_VOCAB, np.random.default_rng(seed)).named()
+    named = build_model(config, S1_VOCAB, np.random.default_rng(seed)).tensors
     return build_groups(config, named), named
 
 
@@ -358,7 +357,7 @@ def _assert_same_bits(opt, ref):
 
 def _steps(opts, rng, first, last, total):
     for t in range(first, last):
-        mult = cosine_warmup_multiplier(ScheduleState(t + 1, total, 0.1))
+        mult = cosine_warmup_multiplier(t + 1, total, 0.1)
         _fill_grads(rng, opts[0].params, opts[1].params)
         for opt in opts:
             opt.step(mult)
@@ -392,34 +391,35 @@ def test_single_group_covers_everything():
 
 def test_schedule_peak_midpoint_end():
     T = 1000
-    state = lambda t: ScheduleState(t, T, 0.10)
     w = round(0.10 * T)
-    assert cosine_warmup_multiplier(state(w)) == 1.0
+    assert cosine_warmup_multiplier(w, T, 0.10) == 1.0
     mid = w + (T - w) // 2
-    assert abs(cosine_warmup_multiplier(state(mid)) - 0.5) < 1e-12
-    assert cosine_warmup_multiplier(state(T)) == 0.0
+    assert abs(cosine_warmup_multiplier(mid, T, 0.10) - 0.5) < 1e-12
+    assert cosine_warmup_multiplier(T, T, 0.10) == 0.0
 
 
 def test_schedule_warmup_is_linear():
     T = 1000
-    assert cosine_warmup_multiplier(ScheduleState(0, T, 0.10)) == 0.0
-    assert cosine_warmup_multiplier(ScheduleState(50, T, 0.10)) == 0.5
+    assert cosine_warmup_multiplier(0, T, 0.10) == 0.0
+    assert cosine_warmup_multiplier(50, T, 0.10) == 0.5
 
 
 def test_schedule_monotone_after_warmup():
     T = 500
     w = round(0.10 * T)
-    values = [cosine_warmup_multiplier(ScheduleState(t, T, 0.10)) for t in range(w, T + 1)]
+    values = [cosine_warmup_multiplier(t, T, 0.10) for t in range(w, T + 1)]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 def test_schedule_rejects_overrun():
     with pytest.raises(ContractError):
-        cosine_warmup_multiplier(ScheduleState(11, 10, 0.10))
+        cosine_warmup_multiplier(11, 10, 0.10)
+    with pytest.raises(ContractError):
+        cosine_warmup_multiplier(-1, 10, 0.10)
     with pytest.raises(ConfigError):
-        ScheduleState(0, 0, 0.10)
+        cosine_warmup_multiplier(0, 0, 0.10)
 
 
 def test_schedule_zero_warmup():
-    assert cosine_warmup_multiplier(ScheduleState(0, 100, 0.0)) == 1.0
-    assert cosine_warmup_multiplier(ScheduleState(100, 100, 0.0)) == 0.0
+    assert cosine_warmup_multiplier(0, 100, 0.0) == 1.0
+    assert cosine_warmup_multiplier(100, 100, 0.0) == 0.0

@@ -44,16 +44,15 @@ def test_class_ratios_rejects_single_class():
 
 
 def test_wrs_weights_corpus_values():
-    sw = wrs_weights(corpus_labels())
-    assert sw.weights[0] == pytest.approx(3.2470, abs=5e-5)
-    assert sw.weights[-1] == pytest.approx(1.0511, abs=5e-5)
-    assert len(set(sw.weights[:N_POS])) == 1
-    assert len(set(sw.weights[N_POS:])) == 1
+    weights = wrs_weights(corpus_labels())
+    assert weights[0] == pytest.approx(3.2470, abs=5e-5)
+    assert weights[-1] == pytest.approx(1.0511, abs=5e-5)
+    assert len(set(weights[:N_POS])) == 1
+    assert len(set(weights[N_POS:])) == 1
 
 
 def test_wrs_weights_balanced_classes():
-    sw = wrs_weights([0, 1, 0, 1])
-    assert np.allclose(sw.weights, math.sqrt(2.0))
+    assert np.allclose(wrs_weights([0, 1, 0, 1]), math.sqrt(2.0))
 
 
 def test_wrs_weight_ratio_identity():
@@ -62,9 +61,9 @@ def test_wrs_weight_ratio_identity():
         labels = rng.integers(0, 2, size=200)
         if labels.min() == labels.max():
             continue
-        sw = wrs_weights(labels)
-        expected = math.sqrt(sw.kappa_neg / sw.kappa_pos)
-        assert sw.weights[labels == 1][0] / sw.weights[labels == 0][0] == pytest.approx(
+        weights, (kappa_pos, kappa_neg) = wrs_weights(labels), class_ratios(labels)
+        expected = math.sqrt(kappa_neg / kappa_pos)
+        assert weights[labels == 1][0] / weights[labels == 0][0] == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -79,10 +78,11 @@ def test_draw_epoch_uniform_case():
 
 
 def test_draw_epoch_expected_positive_fraction():
-    sw = wrs_weights(corpus_labels())
-    expected = math.sqrt(sw.kappa_pos) / (math.sqrt(sw.kappa_pos) + math.sqrt(sw.kappa_neg))
+    labels = corpus_labels()
+    weights, (kappa_pos, kappa_neg) = wrs_weights(labels), class_ratios(labels)
+    expected = math.sqrt(kappa_pos) / (math.sqrt(kappa_pos) + math.sqrt(kappa_neg))
     assert expected == pytest.approx(0.2445, abs=1e-4)
-    idx = draw_epoch(sw, N_TOTAL, rng_seed=7)
+    idx = draw_epoch(weights, N_TOTAL, rng_seed=7)
     assert len(idx) == N_TOTAL
     assert abs((idx < N_POS).mean() - expected) < 0.013
 
@@ -95,10 +95,10 @@ def test_draw_epoch_vanishing_weight():
 
 
 def test_draw_epoch_deterministic_given_seed():
-    sw = wrs_weights([1, 0, 0, 0, 1, 0])
-    a = draw_epoch(sw, 6, rng_seed=99)
-    b = draw_epoch(sw, 6, rng_seed=99)
-    c = draw_epoch(sw, 6, rng_seed=100)
+    weights = wrs_weights([1, 0, 0, 0, 1, 0])
+    a = draw_epoch(weights, 6, rng_seed=99)
+    b = draw_epoch(weights, 6, rng_seed=99)
+    c = draw_epoch(weights, 6, rng_seed=100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

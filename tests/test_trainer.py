@@ -20,7 +20,14 @@ from pcldetect import blas, heap, trainer
 from pcldetect.autograd import Tape, backward
 from pcldetect.cli import main
 from pcldetect.data import Vocabulary, compose_input, pad_batch, tokenize
-from pcldetect.encoder import encode_batch, init_arrays, load_checkpoint, pooler, save_checkpoint
+from pcldetect.encoder import (
+    EncoderConfig,
+    encode_batch,
+    init_arrays,
+    load_checkpoint,
+    pooler,
+    save_checkpoint,
+)
 from pcldetect.errors import (
     ConfigError,
     ContractError,
@@ -256,7 +263,7 @@ def test_subtask2_positives_only_warns_and_trains(tmp_path, caplog):
     write_category_tsv(path, synthetic_category_records(n=60, seed=3))
     config = tiny_config(path, subtask=2, epochs=1, k_folds=2, eval_every_batches=5)
     data = load_training_data(config)
-    assert data.label_vectors.shape == (60, 7)
+    assert data.golds.shape == (60, 7)
     assert set(data.binary_labels) == {1}
     train_idx, val_idx = make_folds(config, data).split(0)
     with caplog.at_level(logging.WARNING):
@@ -296,8 +303,15 @@ def test_subtask2_with_negatives_file(tmp_path):
     n_neg = sum(1 for r in synthetic_binary_records(n=40, positive_frac=0.2, seed=6)
                 if r.raw_label < 2)
     assert len(data.records) == 40 + n_neg
-    assert data.label_vectors[40:].sum() == 0
+    assert data.golds[40:].sum() == 0
     assert set(data.strat_labels) == {0, 1}
+    # gold rows and token rows follow the records, the appended negatives included
+    assert len(data.golds) == len(data.token_ids) == len(data.records)
+    assert all(r.category_vector is None for r in data.records[40:])
+    assert len({tuple(v) for v in data.golds[:40]}) > 1  # a shifted row would show
+    for i, record in enumerate(data.records):
+        assert data.golds[i].tolist() == list(record.category_vector or (0,) * 7), i
+        assert data.token_ids[i] == tokenize(compose_input(record), data.vocab, config.max_len), i
 
 
 def test_subtask2_refuses_a_negative_that_is_also_a_category_paragraph(tmp_path):
@@ -341,8 +355,37 @@ def test_training_step_tape_budget():
     assert len(tape) == 36
 
 
+@pytest.mark.parametrize("subtask", [1, 2])
+def test_a_wrong_prediction_reaches_the_encoder(subtask):
+    """A classifier bias of +-40 makes every prediction confidently wrong; one
+    backward through the model's forward and loss still moves the pooler, the
+    first layer and the embedding row of every token in the batch."""
+    config = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ff=16,
+                           max_len=8, dropout_rate=0.0)
+    arrays = init_arrays(trainer.model_shapes(config, subtask), np.random.default_rng(0))
+    model = trainer.Model.from_arrays(config, subtask, arrays)
+    ids = np.array([[1, 5, 7, 9, 2, 0], [1, 6, 8, 2, 0, 0]])
+    if subtask == 1:
+        golds = np.array([1, 1])
+        model["classifier.bias"].values[:] = [40.0, -40.0]
+    else:
+        golds = np.array([[1, 0, 1, 0, 0, 1, 0]] * 2, dtype=np.float64)
+        model["classifier.bias"].values[:] = np.where(golds[0] == 1, -40.0, 40.0)
+    with Tape():
+        z = model.forward(ids, train=True, rng=np.random.default_rng(1))
+        loss = model.loss(z, golds)
+        backward(loss)
+    assert np.all(model.predict(z) != golds) and loss.item() > 30.0
+    for name in ("pooler.dense.weight", "layer.0.attn.q.weight"):
+        assert np.abs(model[name].grad).max() > 0.0, name
+    token_grad = np.abs(model["embeddings.token"].grad).max(axis=1)
+    in_batch = np.unique(ids[ids != config.pad_id])
+    assert np.all(token_grad[in_batch] > 0.0)
+    assert np.all(np.delete(token_grad, ids) == 0.0)  # rows no token reads stay still
+
+
 def _arrays(model):
-    return {name: t.values for name, t in model.named().items()}
+    return {name: t.values for name, t in model.tensors.items()}
 
 
 def _mixed_label_model(small_corpus, subtask):
@@ -353,12 +396,11 @@ def _mixed_label_model(small_corpus, subtask):
     # move the head's decision threshold between the two middle rows, so
     # both labels occur and no row sits near the boundary
     ids = pad_batch(data.token_ids, pad_id=data.vocab.pad_id)
-    params = model.params
-    z = pooler(encode_batch(params, ids), params).values @ params["classifier.weight"].values.T
+    z = pooler(encode_batch(model, ids), model).values @ model["classifier.weight"].values.T
     if subtask == 1:
         z = z[:, 1:] - z[:, :1]
     mid = len(z) // 2
-    params["classifier.bias"].values[-z.shape[1]:] -= (
+    model["classifier.bias"].values[-z.shape[1]:] -= (
         np.sort(z, axis=0)[mid - 1 : mid + 1].mean(axis=0))
     return model, data
 
@@ -379,7 +421,7 @@ def test_length_sorted_prediction_keeps_input_order(small_corpus, subtask):
 def test_predict_records_keeps_input_order(small_corpus, tmp_path):
     model, data = _mixed_label_model(small_corpus, 1)
     path = tmp_path / "model.npz"
-    save_checkpoint(path, model.params.config, _arrays(model),
+    save_checkpoint(path, model.config, _arrays(model),
                     {"subtask": 1, "vocab": data.vocab.tokens})
     records = [data.records[i] for i in np.random.default_rng(5).permutation(len(data.records))]
     par_ids, labels = predict_records(path, records)
@@ -508,13 +550,13 @@ def test_numerics_error_in_a_helper_batch_reaches_the_caller(
     width = max(len(data.token_ids[i]) for i in caller_rows)
     assert max(len(data.token_ids[i]) for i in indices) > width
     # a position only the helper's longer rows reach: its attention scores turn NaN
-    model.params["embeddings.position"].values[width] = np.inf
+    model["embeddings.position"].values[width] = np.inf
     predict_indices(model, data, caller_rows)  # the caller's batch alone is finite
     with pytest.raises(NumericsError, match="attention scores"):
         predict_indices(model, data, indices)
 
     ckpt, tsv, out = tmp_path / "poisoned.npz", tmp_path / "data.tsv", tmp_path / "out.tsv"
-    save_checkpoint(ckpt, model.params.config, _arrays(model),
+    save_checkpoint(ckpt, model.config, _arrays(model),
                     {"subtask": 1, "vocab": data.vocab.tokens})
     write_binary_tsv(tsv, [data.records[i] for i in indices])
     code = main(["predict", "--checkpoint", str(ckpt), "--data", str(tsv), "--out", str(out)])
@@ -528,7 +570,7 @@ def test_numerics_error_in_a_helper_batch_reaches_the_caller(
 def test_blas_keeps_one_thread_in_training_and_prediction(small_corpus, tmp_path, monkeypatch):
     model, data = _mixed_label_model(small_corpus, 1)
     ckpt = tmp_path / "model.npz"
-    save_checkpoint(ckpt, model.params.config, _arrays(model),
+    save_checkpoint(ckpt, model.config, _arrays(model),
                     {"subtask": 1, "vocab": data.vocab.tokens})
     config = tiny_config(small_corpus, epochs=1)
     seen, forward = [], trainer.Model.forward
@@ -558,7 +600,7 @@ def test_training_and_prediction_keep_freed_memory_in_the_heap(small_corpus, tmp
                                                               monkeypatch):
     model, data = _mixed_label_model(small_corpus, 1)
     ckpt = tmp_path / "model.npz"
-    save_checkpoint(ckpt, model.params.config, _arrays(model),
+    save_checkpoint(ckpt, model.config, _arrays(model),
                     {"subtask": 1, "vocab": data.vocab.tokens})
     config = tiny_config(small_corpus, epochs=1)
     calls = []
@@ -631,7 +673,7 @@ def test_predict_refuses_a_head_whose_width_does_not_fit_the_subtask(
     if doctor is not None:
         doctor(params, meta)
     ckpt, out = tmp_path / "doctored.npz", tmp_path / "out.tsv"
-    save_checkpoint(ckpt, model.params.config, params, meta)
+    save_checkpoint(ckpt, model.config, params, meta)
     code = main(["predict", "--checkpoint", str(ckpt), "--data", str(small_corpus),
                  "--out", str(out)])
     assert code == 1
@@ -649,7 +691,7 @@ def test_a_non_ascii_vocabulary_round_trips_through_a_checkpoint_and_predict(
     model, data = _mixed_label_model(small_corpus, 1)
     tokens = data.vocab.tokens[:-2] + ["café", "naïve"]
     ckpt = tmp_path / "model.npz"
-    save_checkpoint(ckpt, model.params.config, _arrays(model), {"subtask": 1, "vocab": tokens})
+    save_checkpoint(ckpt, model.config, _arrays(model), {"subtask": 1, "vocab": tokens})
     assert '"café", "naïve"'.encode("utf-8") in ckpt.read_bytes()  # the header is UTF-8 text
     assert load_checkpoint(ckpt)[2]["vocab"] == tokens
 
@@ -658,7 +700,7 @@ def test_a_non_ascii_vocabulary_round_trips_through_a_checkpoint_and_predict(
     write_binary_tsv(tsv, records)
     assert main(["predict", "--checkpoint", str(ckpt), "--data", str(tsv), "--out", str(out)]) == 0
     vocab = Vocabulary(tokens)
-    rows = [tokenize(compose_input(r), vocab, model.params.config.max_len) for r in records]
+    rows = [tokenize(compose_input(r), vocab, model.config.max_len) for r in records]
     assert all(vocab.encode_token("café") in ids and vocab.encode_token("naïve") in ids
                for ids in rows)
     labels = [int(model.predict(model.forward(pad_batch([ids], pad_id=vocab.pad_id)))[0])
@@ -678,7 +720,7 @@ def test_one_layout_from_build_through_checkpoint_to_load(small_corpus, tmp_path
     config = tiny_config(path, subtask=subtask, k_folds=2)
     data = load_training_data(config)
     built = [(name, t.shape) for name, t in
-             build_model(config, len(data.vocab), np.random.default_rng(0)).named().items()]
+             build_model(config, len(data.vocab), np.random.default_rng(0)).tensors.items()]
     width = trainer.HEAD_WIDTH[subtask]
     assert built[-2:] == [("classifier.weight", (width, 16)), ("classifier.bias", (width,))]
     outcome = train_fold(config, data, *make_folds(config, data).split(0), 0, tmp_path)
@@ -686,7 +728,7 @@ def test_one_layout_from_build_through_checkpoint_to_load(small_corpus, tmp_path
         index = json.loads(saved["header"].tobytes())["params"]
     assert [(name, tuple(shape)) for name, shape in index] == built
     loaded = load_model(outcome.checkpoint_path)[0]
-    assert [(name, t.shape) for name, t in loaded.named().items()] == built
+    assert [(name, t.shape) for name, t in loaded.tensors.items()] == built
 
 
 def test_checkpoint_bytes_do_not_depend_on_paths(small_corpus, tmp_path):
@@ -800,11 +842,11 @@ def test_numerics_error_in_a_forked_evaluation_reaches_the_caller(
     forks = _fork_counter(monkeypatch)
     take = trainer._Evaluation._snapshot
 
-    def poisoned_snapshot(self, step):
+    def poisoned_snapshot(self):
         """Every snapshot holds an inf, so its child and its re-run here both fail."""
-        values, step = take(self, step)
+        values = take(self)
         values["embeddings.position"][1] = np.inf
-        return values, step
+        return values
 
     monkeypatch.setattr(trainer._Evaluation, "_snapshot", poisoned_snapshot)
     config = tiny_config(small_corpus, epochs=2, patience_rounds=1000)
@@ -931,7 +973,7 @@ def test_a_refused_fork_is_tried_and_warned_about_once(small_corpus, tmp_path, m
 
 
 def _group_sizes(config, data):
-    named = build_model(config, len(data.vocab), np.random.default_rng(0)).named()
+    named = build_model(config, len(data.vocab), np.random.default_rng(0)).tensors
     return [sum(named[n].values.size for n in g.names) for g in trainer.build_groups(config, named)]
 
 
