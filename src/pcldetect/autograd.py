@@ -1,10 +1,15 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense tensors with tape-based reverse-mode differentiation.
 
 Small by design: just enough primitives to express a transformer encoder,
 classification heads and their losses. Forward values are plain numpy
 arrays; when a `Tape` is active, every primitive appends a node so that
 `backward` can replay the recording in reverse execution order (which is
 a valid reverse-topological order by construction).
+
+Values are float64, or float32 where a tensor is made from float32 data:
+the primitives keep their operands' dtype, so a forward over float32
+parameters runs in float32. Only float64 tensors may be recorded on a
+tape, so gradients are float64 throughout.
 """
 
 from __future__ import annotations
@@ -26,16 +31,20 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class Tensor:
-    """A dense float64 array plus gradient bookkeeping.
+    """A dense float64 or float32 array plus gradient bookkeeping.
 
-    `grad` is populated (same shape as `values`) after a backward pass for
-    every tensor that requires grad or sits on the path to the loss.
+    Float32 data stays float32; anything else is stored as float64. `grad`
+    is populated (same shape as `values`) after a backward pass for every
+    tensor that requires grad or sits on the path to the loss.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_tape")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        if values.dtype != np.float32:
+            values = values.astype(np.float64, copy=False)
+        self.values = values
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._tape = None
@@ -110,10 +119,17 @@ def _tracked(t: Tensor, tape: Tape) -> bool:
 
 
 def _make(values, inputs, backward_fn) -> Tensor:
-    """Create the output tensor, recording the op if a tape is listening."""
+    """Create the output tensor, recording the op if a tape is listening.
+
+    Raises ContractError if the op would be recorded with a float32 operand
+    or output: gradients and their finite-difference checks are float64.
+    """
     out = Tensor(values)
     tape = _active_tape()
     if tape is not None and any(_tracked(t, tape) for t in inputs):
+        if out.values.dtype != np.float64 or any(t.values.dtype != np.float64 for t in inputs):
+            raise ContractError("a tape records float64 tensors only; run float32 "
+                                "forwards outside a tape")
         out._tape = tape
         tape._nodes.append((out, inputs, backward_fn))
     return out
@@ -644,7 +660,7 @@ def self_attention(
         raise ShapeError(f"key_bias must be {(bsz, s)}, got {key_bias.shape}")
     nq = s if n_queries is None else n_queries
     h, dh = n_heads, d // n_heads
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)  # a Python float, so it keeps float32 scores float32
     xv = x.values
     xq = xv[:, :nq]
 

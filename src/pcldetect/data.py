@@ -115,7 +115,8 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int = 250) -> list[int]:
     Truncation drops trailing text tokens; the boundary-wrapped terms sit at
     the front of the composed input so they are never cut.
     """
-    body = [vocab.encode_token(t) for t in word_tokens(text)][: max_len - 2]
+    get, unk = vocab._ids.get, vocab.unk_id
+    body = [get(t, unk) for t in word_tokens(text)][: max_len - 2]
     return [vocab.cls_id] + body + [vocab.sep_id]
 
 

@@ -146,7 +146,8 @@ def encode_batch(
     if s < 1:
         raise ContractError("empty sequence")
 
-    key_bias = np.where(ids == cfg.pad_id, MASK_BIAS, 0.0)  # (b, s)
+    dtype = params["embeddings.token"].values.dtype  # float32 scores stay float32
+    key_bias = np.where(ids == cfg.pad_id, MASK_BIAS, 0.0).astype(dtype, copy=False)  # (b, s)
     rate = cfg.dropout_rate
     full = (b, s, cfg.d_model)
 

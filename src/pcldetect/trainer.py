@@ -2,7 +2,9 @@
 
 A `Model` is an `EncoderParams` whose table also holds the subtask's
 classifier; `TrainingData.golds` holds the targets that both the loss and
-the metric read.
+the metric read. Training, snapshots and checkpoints are float64; every
+evaluation and prediction runs forward on the float32 copy that
+`Model.inference` makes, so a fold's metric and `predict` share arithmetic.
 """
 
 from __future__ import annotations
@@ -343,11 +345,18 @@ class Model(EncoderParams):
 
     @classmethod
     def from_arrays(cls, config: EncoderConfig, subtask: int, arrays: dict) -> "Model":
-        """A model over a name -> array mapping (fresh draws, a snapshot or a
-        checkpoint's views); the one place a model's Tensors are made."""
+        """A float64 model over a name -> array mapping (fresh draws, a snapshot
+        or a checkpoint's views); the one place a trained model's Tensors are made."""
         tensors = {name: ag.Tensor(arrays[name], requires_grad=True)
                    for name in model_shapes(config, subtask)}
         return cls(config, tensors, subtask)
+
+    def inference(self) -> "Model":
+        """A float32 copy that needs no gradients: the one place the model that
+        evaluations and `predict` run forward is made."""
+        tensors = {name: ag.Tensor(t.values.astype(np.float32))
+                   for name, t in self.tensors.items()}
+        return Model(self.config, tensors, self.subtask)
 
     def forward(self, ids, train=False, rng=None):
         """Class logits of either width (`binary_forward` is `multilabel_forward`)."""
@@ -537,7 +546,8 @@ def _optimizer_helper(optimizer: AdamW):
 
 
 def _predict_token_ids(model: Model, token_ids, pad_id: int, helper: bool = True) -> np.ndarray:
-    """Hard predictions (eval mode) for id sequences, in input order.
+    """Hard predictions (eval mode) for id sequences, in input order, from
+    `model` as given (`Model.inference` makes the float32 copy to pass).
 
     Rows are batched in order of token length (stable), so each batch pads
     little, and the predictions are scattered back to input order. With
@@ -627,8 +637,9 @@ def _epoch_orders(config, data, train_idx, order_seeds):
 class _Evaluation:
     """A fold's validation passes: history, best snapshot, patience and fork gate.
 
-    Before the first evaluation, one batch is timed in process. If that
-    time, times the number of batches, exceeds FORK_MIN_EVAL_S, each
+    Every evaluation scores `Model.inference` of the model, or of its
+    snapshot. Before the first evaluation, one batch is timed in process. If
+    that time, times the number of batches, exceeds FORK_MIN_EVAL_S, each
     evaluation that cannot end the fold, the first included, is scored on
     its snapshot by a `_Child` while training goes on, and recorded before
     the next starts or the epoch ends; the others use the prediction helper.
@@ -650,8 +661,9 @@ class _Evaluation:
         the fold's last), and one that could spend patience, run in process."""
         self.settle()
         if self.fork is None:
+            model = self.model.inference()
             t0 = time.perf_counter()
-            eval_metric(self.model, self.data, self.val_idx[:EVAL_BATCH])
+            eval_metric(model, self.data, self.val_idx[:EVAL_BATCH])
             batches = math.ceil(len(self.val_idx) / EVAL_BATCH)
             self.fork = (time.perf_counter() - t0) * batches > FORK_MIN_EVAL_S
         decisive = last_of_epoch or self.since_improved + 1 >= self.patience
@@ -660,12 +672,13 @@ class _Evaluation:
 
             def score(shared):
                 model = Model.from_arrays(self.model.config, self.model.subtask, snapshot)
-                metric = eval_metric(model, self.data, self.val_idx)
+                metric = eval_metric(model.inference(), self.data, self.val_idx)
                 struct.pack_into("d", shared, 0, metric)
 
             self.pending = step, snapshot, _Child(f"evaluation child of step {step}", score, 8)
             return
-        self._record(step, eval_metric(self.model, self.data, self.val_idx, helper=self.fork))
+        self._record(step, eval_metric(self.model.inference(), self.data, self.val_idx,
+                                       helper=self.fork))
 
     def settle(self) -> None:
         """Record the pending evaluation, waiting for its child if need be; one
@@ -920,7 +933,8 @@ def lambda_sweep(config: RunConfig, grid, run_dir):
 
 
 def load_model(ckpt_path):
-    """Rebuild (model, vocab, meta) from a checkpoint file.
+    """Rebuild (model, vocab, meta) from a checkpoint file; the model is
+    `Model.inference` of the checkpoint's parameters.
 
     Before anything is built, refuses a file whose metadata lacks the subtask
     or the vocabulary or holds either mistyped, whose vocabulary does not have
@@ -958,7 +972,7 @@ def load_model(ckpt_path):
             raise ConfigError(
                 f"{ckpt_path}: {name} has shape {found}, but its config and subtask imply {shape}"
             )
-    return Model.from_arrays(enc_config, subtask, arrays), vocab, meta
+    return Model.from_arrays(enc_config, subtask, arrays).inference(), vocab, meta
 
 
 @blas.one_thread()
@@ -968,9 +982,7 @@ def predict_records(ckpt_path, records):
     model, vocab, meta = load_model(ckpt_path)
     max_len = model.config.max_len
     token_ids = [tokenize(compose_input(r), vocab, max_len) for r in records]
-    flat = _predict_token_ids(model, token_ids, vocab.pad_id)
-    if model.subtask == 1:
-        labels = [int(p) for p in flat]
-    else:
-        labels = [tuple(int(b) for b in row) for row in flat]
+    labels = _predict_token_ids(model, token_ids, vocab.pad_id).tolist()
+    if model.subtask == 2:
+        labels = [tuple(row) for row in labels]
     return [r.par_id for r in records], labels

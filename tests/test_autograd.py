@@ -243,6 +243,24 @@ def test_backward_requires_a_tape():
         backward(loss)
 
 
+def test_float32_stays_float32_and_a_tape_refuses_it():
+    rng = np.random.default_rng(8)
+    x32 = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+    w32 = Tensor(rng.normal(size=(4, 2)).astype(np.float32))
+    b32 = Tensor(np.zeros(2, dtype=np.float32))
+    assert x32.values.dtype == np.float32
+    assert Tensor([1, 2]).values.dtype == Tensor(np.ones(2, np.float16)).values.dtype == np.float64
+    assert ag.tanh(ag.linear(x32, w32, b32)).values.dtype == np.float32  # no tape: allowed
+    w64 = Tensor(w32.values.astype(np.float64), requires_grad=True)
+    with Tape():
+        ag.linear(Tensor(x32.values.astype(np.float64)), w64, Tensor(np.zeros(2)))
+        for args in ((x32, w64, Tensor(np.zeros(2))),  # a float32 operand beside a float64 one
+                     (x32, Tensor(w32.values, requires_grad=True), b32)):  # float32 throughout
+            with pytest.raises(ContractError, match="float64"):
+                ag.linear(*args)
+        assert ag.linear(x32, w32, b32).values.dtype == np.float32  # nothing tracked: not recorded
+
+
 def test_tape_consumed_once():
     w = Tensor([1.0, 2.0], requires_grad=True)
     with Tape():

@@ -115,6 +115,15 @@ def test_unknown_token_maps_to_unk():
     assert ids == [vocab.cls_id, vocab.unk_id, vocab.sep_id]
 
 
+def test_tokenize_ids_are_encode_token_ids():
+    vocab = Vocabulary.build(["<e> café </e> naïve Zürich words, more words"])
+    text = "<e> Café </e> naïve zürich unseen ñandú words 東京 , ."
+    ids = tokenize(text, vocab)
+    assert ids[1:-1] == [vocab.encode_token(t) for t in word_tokens(text)]
+    assert vocab.unk_id in ids  # "unseen", "ñandú" and "東京" are not in the vocabulary
+    assert vocab.encode_token("naïve") in ids and vocab.encode_token("zürich") in ids
+
+
 def test_vocab_rejects_missing_reserved_prefix():
     with pytest.raises(ParseError):
         Vocabulary(["a", "b", "c"])

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pcldetect import autograd as ag
 from pcldetect import blas, heap, trainer
 from pcldetect.autograd import Tape, backward
 from pcldetect.cli import main
@@ -35,10 +36,13 @@ from pcldetect.errors import (
     ParseError,
     TrainingDivergedError,
 )
+from pcldetect.heads import binary_forward
+from pcldetect.metrics import macro_f1, prf1_positive
 from pcldetect.optim import AdamW
 from pcldetect.trainer import (
     RunConfig,
     build_model,
+    eval_metric,
     file_sha256,
     lambda_sweep,
     load_model,
@@ -406,6 +410,32 @@ def _mixed_label_model(small_corpus, subtask):
 
 
 @pytest.mark.parametrize("subtask", [1, 2])
+def test_an_inference_forward_runs_in_float32_throughout(small_corpus, subtask, monkeypatch):
+    model, data = _mixed_label_model(small_corpus, subtask)
+    copy = model.inference()
+    for name, t in copy.tensors.items():
+        assert t.values.dtype == np.float32 and not t.requires_grad, name
+        assert np.array_equal(t.values, model[name].values.astype(np.float32)), name
+        assert model[name].values.dtype == np.float64 and model[name].requires_grad, name
+    made, make = [], ag._make
+
+    def recording(values, inputs, backward_fn):
+        out = make(values, inputs, backward_fn)
+        made.append(out.values.dtype)
+        return out
+
+    monkeypatch.setattr(ag, "_make", recording)
+    ids = pad_batch(data.token_ids[:8], pad_id=data.vocab.pad_id)
+    assert (ids == data.vocab.pad_id).any()  # the padding mask takes part
+    sink = []
+    z = binary_forward(pooler(encode_batch(copy, ids, attn_sink=sink), copy), copy)
+    assert z.values.dtype == np.float32
+    assert len(sink) == model.config.n_layers
+    assert {p.dtype for p in sink} == {np.dtype(np.float32)}
+    assert set(made) == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("subtask", [1, 2])
 def test_length_sorted_prediction_keeps_input_order(small_corpus, subtask):
     model, data = _mixed_label_model(small_corpus, subtask)
     indices = np.random.default_rng(4).permutation(len(data.token_ids))
@@ -428,6 +458,61 @@ def test_predict_records_keeps_input_order(small_corpus, tmp_path):
     assert par_ids == [r.par_id for r in records]
     assert labels == [predict_records(path, [r])[1][0] for r in records]
     assert set(labels) == {0, 1}
+
+
+def _learned_fold(small_corpus, tmp_path, subtask):
+    """Fold 0 trained on the small corpus long enough that its labels vary;
+    subtask 2 adds planted categories and takes the corpus as negatives.
+    Returns (data, validation indices, outcome)."""
+    path, extra = small_corpus, {}
+    if subtask == 2:
+        path = tmp_path / "cats.tsv"
+        write_category_tsv(path, synthetic_category_records(n=60, seed=3))
+        extra = {"negatives_path": str(small_corpus)}
+    config = tiny_config(path, subtask=subtask, epochs=10, eta=1e-2, patience_rounds=100,
+                         **extra)
+    data = load_training_data(config)
+    train_idx, val_idx = make_folds(config, data).split(0)
+    return data, val_idx, train_fold(config, data, train_idx, val_idx, 0, tmp_path / "fold")
+
+
+@pytest.mark.parametrize("subtask", [1, 2])
+def test_float32_prediction_gives_a_float64_forwards_labels(small_corpus, tmp_path, subtask):
+    data, _, outcome = _learned_fold(small_corpus, tmp_path, subtask)
+    model = load_model(outcome.checkpoint_path)[0]
+    config, arrays, _ = load_checkpoint(outcome.checkpoint_path)
+    reference = trainer.Model.from_arrays(config, subtask, arrays)
+    assert {t.values.dtype for t in model.tensors.values()} == {np.dtype(np.float32)}
+    assert {t.values.dtype for t in reference.tensors.values()} == {np.dtype(np.float64)}
+
+    expected = predict_indices(reference, data, range(len(data.records)))
+    labels = predict_records(outcome.checkpoint_path, data.records)[1]
+    assert np.array_equal(np.array(labels), expected)
+    assert len(np.unique(expected, axis=0)) > 1  # the check is not vacuous
+    ids = pad_batch(data.token_ids, pad_id=data.vocab.pad_id)
+    z32, z64 = model.forward(ids).values, reference.forward(ids).values
+    assert z32.dtype == np.float32
+    assert np.abs(z32 - z64).max() < 1e-4  # 1.2e-7 (subtask 1) and 8.7e-6 (subtask 2)
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["in process", "forked"])
+@pytest.mark.parametrize("subtask", [1, 2])
+def test_a_folds_best_metric_is_what_predict_reproduces(small_corpus, tmp_path, monkeypatch,
+                                                        subtask, forked):
+    monkeypatch.setattr(trainer, "_cores", lambda: 2 if forked else 1)
+    monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", 0.0)
+    forks = _all_forks(monkeypatch)
+    data, val_idx, outcome = _learned_fold(small_corpus, tmp_path, subtask)
+    assert bool(forks) == forked
+    assert outcome.best_metric > 0.0  # the check is not vacuous
+    model = load_model(outcome.checkpoint_path)[0]
+    assert eval_metric(model, data, val_idx) == outcome.best_metric
+    _, labels = predict_records(outcome.checkpoint_path, [data.records[i] for i in val_idx])
+    golds = data.golds[val_idx].astype(int).tolist()
+    if subtask == 1:
+        assert prf1_positive(labels, golds)[2] == outcome.best_metric
+    else:
+        assert macro_f1(labels, [tuple(g) for g in golds])[1] == outcome.best_metric
 
 
 def _serial_predictions(model, data, indices):
