@@ -105,9 +105,6 @@ class Vocabulary:
         body = sorted(counts, key=lambda t: (-counts[t], t))
         return cls(list(RESERVED_TOKENS) + body)
 
-    def encode_token(self, token: str) -> int:
-        return self._ids.get(token, self.unk_id)
-
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int = 250) -> list[int]:
     """Wrap with [CLS]/[SEP] and cap the total length at max_len.

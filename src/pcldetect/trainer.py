@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from . import blas, heap
+from . import native
 from .autograd import Tape, backward
 from .data import (
     NUM_CATEGORIES,
@@ -709,7 +709,7 @@ class _Evaluation:
             self.since_improved += 1
 
 
-@blas.one_thread()
+@native.compute()
 def train_fold(
     config: RunConfig,
     data: TrainingData,
@@ -729,7 +729,6 @@ def train_fold(
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    heap.keep_freed_memory()
 
     init_ss, dropout_ss, order_ss = np.random.SeedSequence([config.seed, fold]).spawn(3)
     model = build_model(config, len(data.vocab), np.random.default_rng(init_ss))
@@ -975,10 +974,9 @@ def load_model(ckpt_path):
     return Model.from_arrays(enc_config, subtask, arrays).inference(), vocab, meta
 
 
-@blas.one_thread()
+@native.compute()
 def predict_records(ckpt_path, records):
     """Predict labels for paragraph records; returns (par_ids, labels)."""
-    heap.keep_freed_memory()
     model, vocab, meta = load_model(ckpt_path)
     max_len = model.config.max_len
     token_ids = [tokenize(compose_input(r), vocab, max_len) for r in records]

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from pcldetect import blas
+from pcldetect import native
 
 
 @pytest.fixture(autouse=True)
@@ -35,8 +35,8 @@ def no_file_descriptor_left():
 @pytest.fixture(autouse=True)
 def blas_threads_unchanged():
     """Fail a test that leaves numpy's OpenBLAS on another thread count."""
-    before = blas.threads()
+    before = native.threads()
     yield
-    after = blas.threads()
+    after = native.threads()
     if after != before:
         pytest.fail(f"the OpenBLAS thread count was left at {after}, not {before}")

@@ -2,7 +2,8 @@
 
 Positives carry a marker token that a single-token detector separates
 perfectly, so any reasonable training run should approach F1 = 1.0 on a
-held-out split; class balance and sizes are configurable.
+held-out split; class balance and sizes are configurable. `encode_token` is
+the token-id reference that tests compare `pcldetect.data.tokenize` against.
 """
 
 import numpy as np
@@ -101,3 +102,8 @@ def write_category_tsv(path, records):
                         )
                         + "\n"
                     )
+
+
+def encode_token(vocab, token: str) -> int:
+    """`token`'s position in the vocabulary, or the unknown id."""
+    return vocab.tokens.index(token) if token in vocab.tokens else vocab.unk_id

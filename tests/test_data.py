@@ -16,6 +16,8 @@ from pcldetect.data import (
 )
 from pcldetect.errors import ConfigError, ParseError, StratificationError
 
+from synthcorpus import encode_token
+
 
 def make_record(**kw):
     defaults = dict(par_id="p1", art_id="a1", keyword="homeless",
@@ -119,9 +121,9 @@ def test_tokenize_ids_are_encode_token_ids():
     vocab = Vocabulary.build(["<e> café </e> naïve Zürich words, more words"])
     text = "<e> Café </e> naïve zürich unseen ñandú words 東京 , ."
     ids = tokenize(text, vocab)
-    assert ids[1:-1] == [vocab.encode_token(t) for t in word_tokens(text)]
+    assert ids[1:-1] == [encode_token(vocab, t) for t in word_tokens(text)]
     assert vocab.unk_id in ids  # "unseen", "ñandú" and "東京" are not in the vocabulary
-    assert vocab.encode_token("naïve") in ids and vocab.encode_token("zürich") in ids
+    assert encode_token(vocab, "naïve") in ids and encode_token(vocab, "zürich") in ids
 
 
 def test_vocab_rejects_missing_reserved_prefix():

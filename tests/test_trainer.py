@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from pcldetect import autograd as ag
-from pcldetect import blas, heap, trainer
+from pcldetect import native, trainer
 from pcldetect.autograd import Tape, backward
 from pcldetect.cli import main
 from pcldetect.data import Vocabulary, compose_input, pad_batch, tokenize
@@ -56,6 +56,7 @@ from pcldetect.trainer import (
 )
 
 from synthcorpus import (
+    encode_token,
     synthetic_binary_records,
     synthetic_category_records,
     write_binary_tsv,
@@ -651,8 +652,10 @@ def test_numerics_error_in_a_helper_batch_reaches_the_caller(
     assert not out.exists()
 
 
-@pytest.mark.skipif(blas.threads() is None, reason="numpy does not use its bundled OpenBLAS")
+@pytest.mark.skipif(native.threads() is None, reason="numpy does not use its bundled OpenBLAS")
 def test_blas_keeps_one_thread_in_training_and_prediction(small_corpus, tmp_path, monkeypatch):
+    """Inside `predict_records` and `train_fold`, OpenBLAS runs one thread; the
+    previous thread count is back after each, also when the fold raises."""
     model, data = _mixed_label_model(small_corpus, 1)
     ckpt = tmp_path / "model.npz"
     save_checkpoint(ckpt, model.config, _arrays(model),
@@ -661,13 +664,13 @@ def test_blas_keeps_one_thread_in_training_and_prediction(small_corpus, tmp_path
     seen, forward = [], trainer.Model.forward
 
     def recording(self, ids, **kwargs):
-        seen.append(blas.threads())
+        seen.append(native.threads())
         if kwargs.get("train") and len(seen) > 5:
             raise KeyError("injected")
         return forward(self, ids, **kwargs)
 
     monkeypatch.setattr(trainer.Model, "forward", recording)
-    get, set_ = blas._thread_count_calls()
+    get, set_ = native._thread_count_calls()
     before = get()
     set_(2)
     try:
@@ -683,20 +686,29 @@ def test_blas_keeps_one_thread_in_training_and_prediction(small_corpus, tmp_path
 
 def test_training_and_prediction_keep_freed_memory_in_the_heap(small_corpus, tmp_path,
                                                               monkeypatch):
+    """`mallopt` has had the heap policy's two calls, once, before every
+    forward of `predict_records` and `train_fold`."""
     model, data = _mixed_label_model(small_corpus, 1)
     ckpt = tmp_path / "model.npz"
     save_checkpoint(ckpt, model.config, _arrays(model),
                     {"subtask": 1, "vocab": data.vocab.tokens})
     config = tiny_config(small_corpus, epochs=1)
-    calls = []
-    monkeypatch.setattr(heap, "_mallopt", lambda: lambda *args: calls.append(args))
-    policy = [(heap.M_MMAP_THRESHOLD, heap.MMAP_THRESHOLD),
-              (heap.M_TRIM_THRESHOLD, heap.TRIM_THRESHOLD)]
+    policy = ((native.M_MMAP_THRESHOLD, native.MMAP_THRESHOLD),
+              (native.M_TRIM_THRESHOLD, native.TRIM_THRESHOLD))
+    calls, seen, forward = [], [], trainer.Model.forward
+
+    def recording(self, ids, **kwargs):
+        seen.append(tuple(calls))
+        return forward(self, ids, **kwargs)
+
+    monkeypatch.setattr(trainer.Model, "forward", recording)
+    monkeypatch.setattr(native, "_mallopt", lambda: lambda *args: calls.append(args))
     predict_records(ckpt, data.records)
-    assert calls == policy
+    assert (set(seen), tuple(calls)) == ({policy}, policy)
     calls.clear()
+    seen.clear()
     train_fold(config, data, *make_folds(config, data).split(0), 0, tmp_path / "fold")
-    assert calls == policy
+    assert (set(seen), tuple(calls)) == ({policy}, policy)
 
 
 def test_the_heap_policy_does_nothing_without_mallopt(monkeypatch):
@@ -704,14 +716,15 @@ def test_the_heap_policy_does_nothing_without_mallopt(monkeypatch):
         def __init__(self, name):
             pass
 
-    heap._mallopt.cache_clear()
+    native._mallopt.cache_clear()
     try:
-        monkeypatch.setattr(heap.ctypes, "CDLL", NoMallopt)
-        assert heap._mallopt() is None
-        heap.keep_freed_memory()
+        monkeypatch.setattr(native.ctypes, "CDLL", NoMallopt)
+        assert native._mallopt() is None
+        with native.compute():
+            pass
     finally:
         monkeypatch.undo()
-        heap._mallopt.cache_clear()
+        native._mallopt.cache_clear()
 
 
 _WIDTH_MISMATCH = "a {width}-wide classifier does not fit subtask {subtask}"
@@ -786,7 +799,7 @@ def test_a_non_ascii_vocabulary_round_trips_through_a_checkpoint_and_predict(
     assert main(["predict", "--checkpoint", str(ckpt), "--data", str(tsv), "--out", str(out)]) == 0
     vocab = Vocabulary(tokens)
     rows = [tokenize(compose_input(r), vocab, model.config.max_len) for r in records]
-    assert all(vocab.encode_token("café") in ids and vocab.encode_token("naïve") in ids
+    assert all(encode_token(vocab, "café") in ids and encode_token(vocab, "naïve") in ids
                for ids in rows)
     labels = [int(model.predict(model.forward(pad_batch([ids], pad_id=vocab.pad_id)))[0])
               for ids in rows]
@@ -1246,3 +1259,22 @@ def test_only_the_child_class_forks_waits_or_kills():
                 outside += [f"{path.name}:{line}: {text}" for line, text in process_calls(node)]
     assert inside == {f"os.{name}" for name in names} | policy
     assert not outside
+
+
+def test_only_the_native_module_imports_ctypes():
+    """The C-library state that training and prediction set (glibc's heap
+    thresholds, OpenBLAS's thread count) has one home: only `native` loads a
+    C library."""
+    importers = []
+    for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                modules = [alias.name for alias in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                modules = [n.module or ""]
+            else:
+                continue
+            importers += [f"{path.name}:{n.lineno}" for m in modules
+                          if m.split(".")[0] == "ctypes"]
+    assert [name.split(":")[0] for name in importers] == ["native.py"], importers
