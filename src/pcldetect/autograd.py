@@ -15,7 +15,6 @@ tape, so gradients are float64 throughout.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -74,11 +73,7 @@ def constant(values) -> Tensor:
 
 
 class Tape:
-    """Ordered record of primitive ops; consumed by exactly one backward pass.
-
-    A tape and its tensors belong to one thread; the active-tape stack is
-    thread-local so parallel runs never share recording state.
-    """
+    """Ordered record of primitive ops; consumed by exactly one backward pass."""
 
     def __init__(self):
         self._nodes = []
@@ -86,11 +81,11 @@ class Tape:
         self._freed = 0  # nodes recorded before backward released them
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         assert popped is self
         return False
 
@@ -99,19 +94,11 @@ class Tape:
         return self._freed + len(self._nodes)
 
 
-_THREAD_STATE = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_THREAD_STATE, "tapes", None)
-    if stack is None:
-        stack = _THREAD_STATE.tapes = []
-    return stack
+_TAPES: list = []  # the active tapes, innermost last
 
 
 def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 def _tracked(t: Tensor, tape: Tape) -> bool:

@@ -1,9 +1,10 @@
-"""The C-library state that training and prediction run under.
+"""The process state that training and prediction run under.
 
-`compute` is the one guard that `train_fold` and `predict_records` enter:
+`Child` is the one lifecycle and fork policy of every forked child. `compute`
+is the one guard that `train_fold` and `predict_records` enter:
 
 - One BLAS thread. Training and prediction run forked children
-  (`trainer._Child`) beside the calling process, so the cores belong to
+  (`Child`) beside the calling process, so the cores belong to
   those processes, and BLAS threads on top of them compete for the same
   cores. `compute` sets numpy's bundled OpenBLAS
   (`numpy.libs/libscipy_openblas64_-*.so`) to one thread for its body and
@@ -26,6 +27,11 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import logging
+import mmap
+import os
+import signal
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +40,8 @@ M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD = 32 << 20  # where glibc's dynamic threshold stops growing on 64-bit systems
 TRIM_THRESHOLD = 1 << 30
+
+logger = logging.getLogger(__name__)
 
 
 @functools.cache
@@ -91,3 +99,70 @@ def compute():
         yield
     finally:
         set_(before)
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+class Child:
+    """Work that a forked child does while this process goes on, if it may.
+
+    It forks only if `os.fork` exists, `_cores() >= 2`, one thread runs (a
+    fork copies only the calling thread), this process is not itself a
+    forked child and no fork of this process was refused; otherwise `pid`
+    is None. The child runs `work(shared)`, where `shared` is an anonymous
+    mapping of `size` bytes that it writes its result into, and leaves
+    through `os._exit`, with status 0 only if `work` returned, so no handler
+    or buffer of this process runs twice. `result()` waits for the child and
+    returns the mapping; if nothing forked or the child did not exit 0,
+    `work` runs here instead, so an error is raised with its own type.
+    `close()` kills and reaps a child not waited for and drops `work`, which
+    may refer to the child's owner. The mapping is freed with its last
+    reference, as a raised error may hold a view of it.
+    """
+
+    barred = False  # True in a forked child, and here once a fork was refused
+
+    def __init__(self, name: str, work, size: int):
+        self.name, self.work, self.shared = name, work, mmap.mmap(-1, size)
+        self.pid = None
+        if (Child.barred or not hasattr(os, "fork") or _cores() < 2
+                or threading.active_count() > 1):
+            return
+        try:
+            self.pid = os.fork()
+        except OSError as exc:
+            Child.barred = True
+            logger.warning("the %s could not fork (%s); its work runs in process, and "
+                           "nothing else in this process will fork", name, exc)
+            return
+        if self.pid == 0:
+            Child.barred, code = True, 1
+            try:
+                work(self.shared)
+                code = 0
+            finally:
+                os._exit(code)
+
+    def result(self):
+        if self.pid is not None:
+            status = os.waitpid(self.pid, 0)[1]
+            self.pid = None
+            if status == 0:
+                return self.shared
+            logger.warning("the %s ended with wait status %d; its work runs in process",
+                           self.name, status)
+        self.work(self.shared)
+        return self.shared
+
+    def close(self) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.work = None

@@ -12,12 +12,15 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+import os
 import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from . import native
+from .errors import ConfigError, ContractError, HelperError
 
 _LAYER_RE = re.compile(r"^layer\.(\d+)\.")
 
@@ -180,13 +183,13 @@ class AdamW:
     elements whose temporaries stay in cache, so a step issues a few ufunc
     calls per chunk, not per tensor.
 
-    With a `helper` set (`trainer._OptimizerHelper`), its forked process
-    steps and zeroes the groups in `helper.groups` through `step_group`, and
-    this process the others. `handoffs(multiplier)` gives `backward`
-    callbacks that hand each helper group off, with the step's count and
-    multiplier, as soon as backward is done with its parameters; `step`
-    hands off any group not yet handed, steps this process's groups and
-    waits for the helper.
+    `fork_helper()` may fork an `_OptimizerHelper` that steps and zeroes
+    every group but the first through `step_group`, while this process
+    steps the first; `close()` kills it. `handoffs(multiplier)` gives
+    `backward` callbacks that hand each helper group off, with the step's
+    count and multiplier, as soon as backward is done with its parameters;
+    `step` hands off any group not yet handed, steps this process's groups
+    and waits for the helper.
     """
 
     CHUNK = 16384
@@ -202,7 +205,8 @@ class AdamW:
         self.groups = groups
         self.params = params
         self.step_count = 0
-        self.helper = None
+        self._helper = None
+        self._own, self._theirs = range(len(groups)), range(0)  # stepped here; by the helper
         self._m, self._v, self._grads = {}, {}, {}
         self._flat = []  # per group: (names, decayed prefix length, p, g, m, v)
         total = sum(params[n].values.size for n in grouped)
@@ -228,14 +232,29 @@ class AdamW:
             self._flat.append((names, n_decayed, p, g, m, v))
         self._scratch = np.empty((2, self.CHUNK))
 
-    def _own(self) -> list[int]:
-        """Indices of the groups this process steps and zeroes."""
-        theirs = self.helper.groups if self.helper is not None else ()
-        return [k for k in range(len(self.groups)) if k not in theirs]
+    def fork_helper(self) -> None:
+        """Fork a helper for every group but the first if one of those spans more
+        than one CHUNK (a smaller group costs more to hand off than to step).
+        The first group holds the embeddings, which the first tape nodes read,
+        so backward finishes it last and this process steps it meanwhile."""
+        theirs = range(1, len(self.groups))
+        if max((self._flat[k][2].size for k in theirs), default=0) <= self.CHUNK:
+            return
+        helper = _OptimizerHelper(self)
+        if helper._child.pid is not None:
+            self._helper, self._own, self._theirs = helper, range(1), theirs
+        else:
+            helper.close()
+
+    def close(self) -> None:
+        """Kill and reap the helper, if one forked; this process then steps every group."""
+        if self._helper is not None:
+            self._helper.close()
+            self._helper, self._own, self._theirs = None, range(len(self.groups)), range(0)
 
     def zero_grad(self) -> None:
         """Clear this process's gradient buffers and bind each parameter's `grad` to its view."""
-        for k in self._own():
+        for k in self._own:
             self._flat[k][3].fill(0.0)
         for name, view in self._grads.items():
             self.params[name].grad = view
@@ -263,29 +282,24 @@ class AdamW:
     def handoffs(self, schedule_multiplier: float) -> list:
         """`backward`'s (tensors, callback) pairs that hand each helper group
         off for the coming `step(schedule_multiplier)`; none without a helper."""
-        if self.helper is None:
-            return []
         return [([self.params[n] for n in self._flat[k][0]],
                  functools.partial(self._hand_off, k, schedule_multiplier))
-                for k in self.helper.groups]
+                for k in self._theirs]
 
     def _hand_off(self, k: int, schedule_multiplier: float) -> None:
         self._gather_grads([k])
-        self.helper.hand(k, schedule_multiplier, self.step_count + 1)
+        self._helper.hand(k, schedule_multiplier, self.step_count + 1)
 
     def step(self, schedule_multiplier: float = 1.0) -> None:
-        own = self._own()
-        self._gather_grads(own)
-        helper = self.helper
-        if helper is not None:
-            for k in helper.groups:
-                if k not in helper.handed:
-                    self._hand_off(k, schedule_multiplier)
+        self._gather_grads(self._own)
+        for k in self._theirs:
+            if k not in self._helper.handed:
+                self._hand_off(k, schedule_multiplier)
         self.step_count += 1
-        for k in own:
+        for k in self._own:
             self._update(k, schedule_multiplier, self.step_count)
-        if helper is not None:
-            helper.wait()
+        if self._helper is not None:
+            self._helper.wait()
 
     def step_group(self, k: int, schedule_multiplier: float, count: int) -> None:
         """Step group k as `step` does at step `count`, then zero its gradients:
@@ -330,3 +344,66 @@ class AdamW:
             "m": {n: a.copy() for n, a in self._m.items()},
             "v": {n: a.copy() for n, a in self._v.items()},
         }
+
+
+class _OptimizerHelper:
+    """A forked child that steps AdamW groups while this process runs backward.
+
+    `hand(k, multiplier, count)` sends group k's index, the step's count and
+    its multiplier down a pipe in one 17-byte write, atomic below PIPE_BUF.
+    The child steps the group and zeroes its gradients in the optimizer's
+    shared buffers (`AdamW.step_group`), then returns the index on a second
+    pipe. `wait` reads one index per group handed; a child that ended reads
+    as end of file and raises HelperError, as does a hand-off to it: it may
+    have left a group partly stepped, so its work is not redone here.
+    """
+
+    MESSAGE = struct.Struct("=Bqd")  # group index, step count, multiplier
+
+    def __init__(self, optimizer: AdamW):
+        self.handed = []
+        their_cmd, self._cmd = os.pipe()
+        self._done, their_done = os.pipe()
+        try:
+            self._child = native.Child("optimizer helper",
+                                       lambda _: self._serve(optimizer, their_cmd, their_done), 1)
+        except BaseException:
+            os.close(self._cmd)
+            os.close(self._done)
+            raise
+        finally:
+            os.close(their_cmd)
+            os.close(their_done)
+
+    def _serve(self, optimizer: AdamW, cmd: int, done: int) -> None:
+        """The child's loop, until this process closes its end of the pipe."""
+        os.close(self._cmd)
+        os.close(self._done)
+        while message := os.read(cmd, self.MESSAGE.size):
+            k, count, multiplier = self.MESSAGE.unpack(message)
+            optimizer.step_group(k, multiplier, count)
+            os.write(done, bytes([k]))
+
+    def hand(self, k: int, multiplier: float, count: int) -> None:
+        try:
+            os.write(self._cmd, self.MESSAGE.pack(k, count, multiplier))
+        except BrokenPipeError:
+            raise self._ended() from None
+        self.handed.append(k)
+
+    def wait(self) -> None:
+        while self.handed:
+            done = os.read(self._done, len(self.handed))
+            if not done:
+                raise self._ended()
+            del self.handed[: len(done)]
+
+    @staticmethod
+    def _ended() -> HelperError:
+        return HelperError("the optimizer helper process ended before stepping its groups")
+
+    def close(self) -> None:
+        """Kill and reap the child and close this process's pipe ends."""
+        self._child.close()
+        os.close(self._cmd)
+        os.close(self._done)

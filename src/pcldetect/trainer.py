@@ -5,6 +5,7 @@ classifier; `TrainingData.golds` holds the targets that both the loss and
 the metric read. Training, snapshots and checkpoints are float64; every
 evaluation and prediction runs forward on the float32 copy that
 `Model.inference` makes, so a fold's metric and `predict` share arithmetic.
+Its forked children are `native.Child`s; AdamW forks and closes its own helper.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ import hashlib
 import json
 import logging
 import math
-import mmap
-import os
-import signal
 import struct
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +53,6 @@ from .encoder import (
 from .errors import (
     ConfigError,
     ContractError,
-    HelperError,
     NumericsError,
     ParseError,
     TrainingDivergedError,
@@ -85,9 +81,11 @@ EVAL_BATCH = 16
 # A fold hands its periodic evaluations to a forked child, and lets its
 # in-process ones fork the prediction helper, when its first evaluation's
 # first batch, times the number of batches, took longer than this. Forking
-# every evaluation slowed the benchmark's subtask-2 folds, whose evaluations
-# take about 17 ms, by 12%, and forking the prediction helper for each slowed
-# them too; the subtask-1 folds' 450-650 ms evaluations gain.
+# every evaluation slowed the benchmark's subtask-2 folds by 12% when their
+# evaluations took about 17 ms, and forking the prediction helper for each
+# slowed them too; the subtask-1 folds' evaluations gain. In float32, fold
+# 0's serial validation pass (one BLAS thread, median of 7, 2-core Xeon)
+# takes 6-7 ms for `s2_kfold` (85 rows) and 190-240 ms for `s1_fold` (400).
 FORK_MIN_EVAL_S = 0.05
 
 
@@ -394,166 +392,15 @@ def build_groups(config: RunConfig, names):
 # ---------------------------------------------------------------------------
 
 
-def _cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-class _Child:
-    """Work that a forked child does while this process goes on, if it may.
-
-    It forks only if `os.fork` exists, `_cores() >= 2`, one thread runs (a
-    fork copies only the calling thread), this process is not itself a
-    forked child and no fork of this process was refused; otherwise `pid`
-    is None. The child runs `work(shared)`, where `shared` is an anonymous
-    mapping of `size` bytes that it writes its result into, and leaves
-    through `os._exit`, with status 0 only if `work` returned, so no handler
-    or buffer of this process runs twice. `result()` waits for the child and
-    returns the mapping; if nothing forked or the child did not exit 0,
-    `work` runs here instead, so an error is raised with its own type.
-    `close()` kills and reaps a child not waited for and drops `work`, which
-    may refer to the child's owner. The mapping is freed with its last
-    reference, as a raised error may hold a view of it.
-    """
-
-    barred = False  # True in a forked child, and here once a fork was refused
-
-    def __init__(self, name: str, work, size: int):
-        self.name, self.work, self.shared = name, work, mmap.mmap(-1, size)
-        self.pid = None
-        if (_Child.barred or not hasattr(os, "fork") or _cores() < 2
-                or threading.active_count() > 1):
-            return
-        try:
-            self.pid = os.fork()
-        except OSError as exc:
-            _Child.barred = True
-            logger.warning("the %s could not fork (%s); its work runs in process, and "
-                           "nothing else in this process will fork", name, exc)
-            return
-        if self.pid == 0:
-            _Child.barred, code = True, 1
-            try:
-                work(self.shared)
-                code = 0
-            finally:
-                os._exit(code)
-
-    def result(self):
-        if self.pid is not None:
-            status = os.waitpid(self.pid, 0)[1]
-            self.pid = None
-            if status == 0:
-                return self.shared
-            logger.warning("the %s ended with wait status %d; its work runs in process",
-                           self.name, status)
-        self.work(self.shared)
-        return self.shared
-
-    def close(self) -> None:
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        self.work = None
-
-
-class _OptimizerHelper:
-    """A forked child that steps AdamW groups while this process runs backward.
-
-    `hand(k, multiplier, count)` sends group k's index, the step's count and
-    its multiplier down a pipe in one 17-byte write, atomic below PIPE_BUF.
-    The child steps the group and zeroes its gradients in the optimizer's
-    shared buffers (`AdamW.step_group`), then returns the index on a second
-    pipe. `wait` reads one index per group handed; a child that ended reads
-    as end of file and raises HelperError, as does a hand-off to it: it may
-    have left a group partly stepped, so its work is not redone here.
-    """
-
-    MESSAGE = struct.Struct("=Bqd")  # group index, step count, multiplier
-
-    def __init__(self, optimizer: AdamW, groups: list[int]):
-        self.handed = []
-        their_cmd, self._cmd = os.pipe()
-        self._done, their_done = os.pipe()
-        try:
-            self._child = _Child("optimizer helper",
-                                 lambda _: self._serve(optimizer, their_cmd, their_done), 1)
-        except BaseException:
-            os.close(self._cmd)
-            os.close(self._done)
-            raise
-        finally:
-            os.close(their_cmd)
-            os.close(their_done)
-        self.groups = groups
-
-    def _serve(self, optimizer: AdamW, cmd: int, done: int) -> None:
-        """The child's loop, until this process closes its end of the pipe."""
-        os.close(self._cmd)
-        os.close(self._done)
-        while message := os.read(cmd, self.MESSAGE.size):
-            k, count, multiplier = self.MESSAGE.unpack(message)
-            optimizer.step_group(k, multiplier, count)
-            os.write(done, bytes([k]))
-
-    def hand(self, k: int, multiplier: float, count: int) -> None:
-        try:
-            os.write(self._cmd, self.MESSAGE.pack(k, count, multiplier))
-        except BrokenPipeError:
-            raise self._ended() from None
-        self.handed.append(k)
-
-    def wait(self) -> None:
-        while self.handed:
-            done = os.read(self._done, len(self.handed))
-            if not done:
-                raise self._ended()
-            del self.handed[: len(done)]
-
-    @staticmethod
-    def _ended() -> HelperError:
-        return HelperError("the optimizer helper process ended before stepping its groups")
-
-    def close(self) -> None:
-        """Kill and reap the child and close this process's pipe ends."""
-        self._child.close()
-        os.close(self._cmd)
-        os.close(self._done)
-
-
-def _optimizer_helper(optimizer: AdamW):
-    """A forked helper for every group but the first, or None.
-
-    The first group holds the embeddings, which the first tape nodes read,
-    so backward finishes it last and this process steps it meanwhile. The
-    helper is asked for only if one of its groups spans more than one
-    `AdamW.CHUNK`: a smaller group costs more to hand off than it takes to
-    step.
-    """
-    theirs = list(range(1, len(optimizer.groups)))
-    sizes = [sum(optimizer.params[n].values.size for n in optimizer.groups[k].names)
-             for k in theirs]
-    if max(sizes, default=0) > optimizer.CHUNK:
-        helper = _OptimizerHelper(optimizer, theirs)
-        if helper._child.pid is not None:
-            return helper
-        helper.close()
-    return None
-
-
 def _predict_token_ids(model: Model, token_ids, pad_id: int, helper: bool = True) -> np.ndarray:
     """Hard predictions (eval mode) for id sequences, in input order, from
     `model` as given (`Model.inference` makes the float32 copy to pass).
 
     Rows are batched in order of token length (stable), so each batch pads
     little, and the predictions are scattered back to input order. With
-    `helper` and two or more batches, a `_Child` computes the odd batches
-    while this process computes the even ones, both writing into the
-    child's mapping. Each batch is computed as a serial loop computes it.
+    `helper` and two or more batches, a `native.Child` computes the odd
+    batches while this process computes the even ones, both writing into
+    the child's mapping. Each batch is computed as a serial loop computes it.
     """
     if not token_ids:
         raise ContractError("no examples to predict")
@@ -573,7 +420,8 @@ def _predict_token_ids(model: Model, token_ids, pad_id: int, helper: bool = True
 
     preds = np.empty(shape, int)
     if helper and len(starts) >= 2:
-        child = _Child("prediction helper", lambda shared: run(starts[1::2], shared), preds.size)
+        child = native.Child("prediction helper", lambda shared: run(starts[1::2], shared),
+                             preds.size)
         try:
             labels = run(starts[0::2], child.shared)
             child.result()  # the odd batches, in the same mapping
@@ -641,8 +489,9 @@ class _Evaluation:
     snapshot. Before the first evaluation, one batch is timed in process. If
     that time, times the number of batches, exceeds FORK_MIN_EVAL_S, each
     evaluation that cannot end the fold, the first included, is scored on
-    its snapshot by a `_Child` while training goes on, and recorded before
-    the next starts or the epoch ends; the others use the prediction helper.
+    its snapshot by a `native.Child` while training goes on, and recorded
+    before the next starts or the epoch ends; the others use the prediction
+    helper.
     """
 
     def __init__(self, model: Model, data: TrainingData, val_idx, patience: int):
@@ -650,7 +499,7 @@ class _Evaluation:
         self.history: list = []  # [(step, metric), ...]
         self.best, self.best_step, self.snapshot, self.since_improved = -math.inf, -1, None, 0
         self.fork = None  # whether evaluations are slow enough to fork; None until timed
-        self.pending = None  # (step, snapshot at that step, the _Child scoring it)
+        self.pending = None  # (step, snapshot at that step, the Child scoring it)
 
     @property
     def stopped(self) -> bool:
@@ -675,7 +524,8 @@ class _Evaluation:
                 metric = eval_metric(model.inference(), self.data, self.val_idx)
                 struct.pack_into("d", shared, 0, metric)
 
-            self.pending = step, snapshot, _Child(f"evaluation child of step {step}", score, 8)
+            self.pending = step, snapshot, native.Child(f"evaluation child of step {step}",
+                                                        score, 8)
             return
         self._record(step, eval_metric(self.model.inference(), self.data, self.val_idx,
                                        helper=self.fork))
@@ -744,7 +594,7 @@ def train_fold(
     step = 0
     losses: list = []
     evaluation = _Evaluation(model, data, val_idx, config.patience_rounds)
-    optimizer.helper = _optimizer_helper(optimizer)
+    optimizer.fork_helper()
     try:
         for epoch, order in enumerate(_epoch_orders(config, data, train_idx, order_seeds)):
             for b in range(batches_per_epoch):
@@ -785,8 +635,7 @@ def train_fold(
             evaluation.run(step, last_of_epoch=True)
     finally:
         evaluation.close()
-        if optimizer.helper is not None:
-            optimizer.helper.close()
+        optimizer.close()
 
     ckpt_path = run_dir / f"fold{fold}.npz"
     _write_checkpoint(ckpt_path, config, data, optimizer.groups, evaluation.snapshot,
@@ -937,8 +786,9 @@ def load_model(ckpt_path):
 
     Before anything is built, refuses a file whose metadata lacks the subtask
     or the vocabulary or holds either mistyped, whose vocabulary does not have
-    one token per embedding row, or whose parameter names and shapes differ
-    from the `model_shapes` of its encoder config and subtask.
+    one token per embedding row, whose `pad_id` is not the vocabulary's
+    [PAD] id (batches are padded with it), or whose parameter names and
+    shapes differ from the `model_shapes` of its encoder config and subtask.
     """
     enc_config, arrays, meta = load_checkpoint(ckpt_path)
     for key in ("subtask", "vocab"):
@@ -953,6 +803,9 @@ def load_model(ckpt_path):
         raise ConfigError(f"{ckpt_path}: checkpoint vocab holds {len(tokens)} tokens, but its "
                           f"config has vocab_size {enc_config.vocab_size}")
     vocab = Vocabulary(tokens)
+    if enc_config.pad_id != vocab.pad_id:
+        raise ConfigError(f"{ckpt_path}: checkpoint pad_id {enc_config.pad_id!r} is not the "
+                          f"vocabulary's [PAD] id {vocab.pad_id}")
     expected = model_shapes(enc_config, subtask)
     missing = [name for name in expected if name not in arrays]
     if missing:

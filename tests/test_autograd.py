@@ -598,31 +598,6 @@ def test_forward_and_gradients_are_deterministic():
     assert np.array_equal(gw1, gw2)
 
 
-def test_tapes_are_confined_per_thread():
-    import threading
-
-    failures = []
-
-    def work(seed):
-        rng = np.random.default_rng(seed)
-        w = Tensor(rng.normal(size=64), requires_grad=True)
-        try:
-            for _ in range(200):
-                with Tape():
-                    backward(ag.mul(w, w).sum())
-            if not np.allclose(w.grad, 2.0 * 200 * w.values):
-                failures.append(f"seed {seed}: wrong accumulated gradient")
-        except Exception as exc:  # cross-thread tape corruption shows up here
-            failures.append(f"seed {seed}: {exc!r}")
-
-    threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not failures, failures
-
-
 def test_composition_gradcheck_random_pipeline():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)

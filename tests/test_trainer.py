@@ -500,7 +500,7 @@ def test_float32_prediction_gives_a_float64_forwards_labels(small_corpus, tmp_pa
 @pytest.mark.parametrize("subtask", [1, 2])
 def test_a_folds_best_metric_is_what_predict_reproduces(small_corpus, tmp_path, monkeypatch,
                                                         subtask, forked):
-    monkeypatch.setattr(trainer, "_cores", lambda: 2 if forked else 1)
+    monkeypatch.setattr(native, "_cores", lambda: 2 if forked else 1)
     monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", 0.0)
     forks = _all_forks(monkeypatch)
     data, val_idx, outcome = _learned_fold(small_corpus, tmp_path, subtask)
@@ -548,14 +548,14 @@ def _all_forks(monkeypatch):
 
 def _refuse_forks(monkeypatch, attempts):
     """Make `os.fork` fail as it does at a process limit; each attempt adds None
-    to `attempts`. The refusal `_Child` remembers is undone after the test."""
+    to `attempts`. The refusal `native.Child` remembers is undone after the test."""
 
     def refuse():
         attempts.append(None)
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr(trainer._Child, "barred", False)
+    monkeypatch.setattr(native.Child, "barred", False)
 
 
 @pytest.mark.parametrize("subtask", [1, 2])
@@ -566,7 +566,7 @@ def test_forked_prediction_equals_a_serial_loop(small_corpus, subtask, monkeypat
     serial = _serial_predictions(model, data, indices)
     forks = _all_forks(monkeypatch)
     for cores, children in ((1, 0), (2, 1), (8, 1)):
-        monkeypatch.setattr(trainer, "_cores", lambda: cores)
+        monkeypatch.setattr(native, "_cores", lambda: cores)
         forks.clear()
         assert np.array_equal(predict_indices(model, data, indices), serial)
         assert len(forks) == children
@@ -580,7 +580,7 @@ def test_forked_prediction_equals_a_serial_loop(small_corpus, subtask, monkeypat
 @pytest.mark.parametrize("death", ["exit 3", "SIGKILL", "fork refused"])
 def test_a_prediction_helper_that_dies_has_its_batches_computed_again(small_corpus, monkeypatch,
                                                                       death):
-    monkeypatch.setattr(trainer, "_cores", lambda: 2)
+    monkeypatch.setattr(native, "_cores", lambda: 2)
     model, data = _mixed_label_model(small_corpus, 1)
     indices = np.random.default_rng(7).permutation(len(data.token_ids))
     serial = _serial_predictions(model, data, indices)
@@ -603,7 +603,7 @@ def test_a_prediction_helper_that_dies_has_its_batches_computed_again(small_corp
 
 
 def test_a_raise_in_the_caller_kills_the_prediction_helper(small_corpus, monkeypatch):
-    monkeypatch.setattr(trainer, "_cores", lambda: 2)
+    monkeypatch.setattr(native, "_cores", lambda: 2)
     model, data = _mixed_label_model(small_corpus, 1)
     parent, forward = os.getpid(), model.forward
 
@@ -628,7 +628,7 @@ def test_a_raise_in_the_caller_kills_the_prediction_helper(small_corpus, monkeyp
 def test_numerics_error_in_a_helper_batch_reaches_the_caller(
     small_corpus, tmp_path, monkeypatch, capsys
 ):
-    monkeypatch.setattr(trainer, "_cores", lambda: 2)
+    monkeypatch.setattr(native, "_cores", lambda: 2)
     model, data = _mixed_label_model(small_corpus, 1)
     by_length = np.argsort([len(t) for t in data.token_ids], kind="stable")
     indices = by_length[: 2 * trainer.EVAL_BATCH]  # batch 0 for the caller, 1 for the helper
@@ -735,29 +735,33 @@ _WIDTH_MISMATCH = "a {width}-wide classifier does not fit subtask {subtask}"
     (2, 2, None, _WIDTH_MISMATCH),
     (1, 3, None, _WIDTH_MISMATCH),
     (2, 3, None, _WIDTH_MISMATCH),
-    (1, 2, lambda params, meta: meta.pop("subtask"), "checkpoint metadata has no 'subtask'"),
-    (1, 2, lambda params, meta: params.pop("pooler.dense.weight"),
+    (1, 2, lambda params, meta, encoder: meta.pop("subtask"),
+     "checkpoint metadata has no 'subtask'"),
+    (1, 2, lambda params, meta, encoder: params.pop("pooler.dense.weight"),
      "checkpoint lacks pooler.dense.weight"),
-    (1, 2, lambda params, meta: params.update({"layer.0.attn.q.weight": np.eye(3)}),
+    (1, 2, lambda params, meta, encoder: params.update({"layer.0.attn.q.weight": np.eye(3)}),
      "layer.0.attn.q.weight has shape (3, 3), but its config and subtask imply (16, 16)"),
-    (1, 2, lambda params, meta: params.update({"pooler.extra": np.zeros(2)}),
+    (1, 2, lambda params, meta, encoder: params.update({"pooler.extra": np.zeros(2)}),
      "checkpoint holds pooler.extra, unused by its config"),
-    (1, 2, lambda params, meta: meta.update(subtask=[1]),
+    (1, 2, lambda params, meta, encoder: meta.update(subtask=[1]),
      "checkpoint subtask [1] is not the integer 1 or 2"),
-    (1, 2, lambda params, meta: meta.update(subtask=True),
+    (1, 2, lambda params, meta, encoder: meta.update(subtask=True),
      "checkpoint subtask True is not the integer 1 or 2"),
-    (1, 2, lambda params, meta: meta.update(subtask=1.0),
+    (1, 2, lambda params, meta, encoder: meta.update(subtask=1.0),
      "checkpoint subtask 1.0 is not the integer 1 or 2"),
-    (1, 2, lambda params, meta: meta.update(vocab=5), "checkpoint vocab is not a list of strings"),
-    (1, 2, lambda params, meta: meta.update(vocab=None),
+    (1, 2, lambda params, meta, encoder: meta.update(vocab=5),
      "checkpoint vocab is not a list of strings"),
-    (1, 2, lambda params, meta: meta["vocab"].append("unseen"),
+    (1, 2, lambda params, meta, encoder: meta.update(vocab=None),
+     "checkpoint vocab is not a list of strings"),
+    (1, 2, lambda params, meta, encoder: meta["vocab"].append("unseen"),
      "checkpoint vocab holds {longer} tokens, but its config has vocab_size {rows}"),
-    (1, 2, lambda params, meta: meta["vocab"].pop(),
+    (1, 2, lambda params, meta, encoder: meta["vocab"].pop(),
      "checkpoint vocab holds {shorter} tokens, but its config has vocab_size {rows}"),
+    (1, 2, lambda params, meta, encoder: encoder.update(pad_id=3),
+     "checkpoint pad_id 3 is not the vocabulary's [PAD] id 0"),
 ], ids=["1-7", "2-2", "1-3", "2-3", "no-subtask", "no-pooler-weight", "q-weight-3x3",
         "extra-parameter", "subtask-list", "subtask-true", "subtask-float", "vocab-int",
-        "vocab-null", "vocab-longer", "vocab-shorter"])
+        "vocab-null", "vocab-longer", "vocab-shorter", "pad-id"])
 def test_predict_refuses_a_head_whose_width_does_not_fit_the_subtask(
     small_corpus, tmp_path, capsys, subtask, width, doctor, message
 ):
@@ -768,10 +772,11 @@ def test_predict_refuses_a_head_whose_width_does_not_fit_the_subtask(
     head_shapes = {"classifier.weight": (width, config.d_model), "classifier.bias": (width,)}
     params.update(init_arrays(head_shapes, np.random.default_rng(4)))
     meta = {"subtask": subtask, "vocab": list(data.vocab.tokens)}
+    encoder = dataclasses.asdict(model.config)
     if doctor is not None:
-        doctor(params, meta)
+        doctor(params, meta, encoder)
     ckpt, out = tmp_path / "doctored.npz", tmp_path / "out.tsv"
-    save_checkpoint(ckpt, model.config, params, meta)
+    save_checkpoint(ckpt, EncoderConfig(**encoder), params, meta)
     code = main(["predict", "--checkpoint", str(ckpt), "--data", str(small_corpus),
                  "--out", str(out)])
     assert code == 1
@@ -851,8 +856,8 @@ def _fork_counter(monkeypatch):
     evaluation children whose fork was attempted (prediction helpers are not
     counted; None where the fork was refused)."""
     monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", 0.0)
-    monkeypatch.setattr(trainer, "_cores", lambda: 2)
-    forks, attempts, fork, init = [], [], os.fork, trainer._Child.__init__
+    monkeypatch.setattr(native, "_cores", lambda: 2)
+    forks, attempts, fork, init = [], [], os.fork, native.Child.__init__
 
     def attempt():
         attempts.append(None)
@@ -865,7 +870,7 @@ def _fork_counter(monkeypatch):
             forks.append(self.pid)
 
     monkeypatch.setattr(os, "fork", attempt)
-    monkeypatch.setattr(trainer._Child, "__init__", counting)
+    monkeypatch.setattr(native.Child, "__init__", counting)
     return forks
 
 
@@ -884,13 +889,13 @@ def _in_child(action, monkeypatch):
 def _in_process_and_forked(config, tmp_path, monkeypatch, cores=2):
     """Fold 0 trained on one core with every evaluation immediate and in
     process, then on `cores` with every evaluation that may fork handed to a
-    `_Child` (deferred to where it is recorded, on one core)."""
+    `native.Child` (deferred to where it is recorded, on one core)."""
     data = load_training_data(config)
     train_idx, val_idx = make_folds(config, data).split(0)
     forks = _fork_counter(monkeypatch)
     outcomes = []
     for run, (n, min_eval_s) in enumerate([(1, math.inf), (cores, 0.0)]):
-        monkeypatch.setattr(trainer, "_cores", lambda: n)
+        monkeypatch.setattr(native, "_cores", lambda: n)
         monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", min_eval_s)
         outcomes.append(train_fold(config, data, train_idx, val_idx, 0, tmp_path / str(run)))
     return outcomes, forks
@@ -1055,7 +1060,7 @@ def test_a_one_core_fold_that_defers_its_evaluations_equals_the_in_process_run(
 def test_a_refused_fork_is_tried_and_warned_about_once(small_corpus, tmp_path, monkeypatch,
                                                        caplog):
     monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", 0.0)
-    monkeypatch.setattr(trainer, "_cores", lambda: 2)
+    monkeypatch.setattr(native, "_cores", lambda: 2)
     monkeypatch.setattr(AdamW, "CHUNK", 64)  # the optimizer helper would fork too
     attempts = []
     _refuse_forks(monkeypatch, attempts)
@@ -1082,7 +1087,7 @@ def test_nothing_forks_where_it_cannot_help_or_is_unsafe(small_corpus, tmp_path,
     min_eval_s = {"fast first evaluation": math.inf, "fast first batch": 0.1,
                   "every group fits within one chunk": math.inf}
     monkeypatch.setattr(trainer, "FORK_MIN_EVAL_S", min_eval_s.get(case, 0.0))
-    monkeypatch.setattr(trainer, "_cores", lambda: 1 if case == "one core" else 2)
+    monkeypatch.setattr(native, "_cores", lambda: 1 if case == "one core" else 2)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("an evaluation or a helper forked"))
     config = tiny_config(small_corpus, epochs=2, patience_rounds=1000)
     data = load_training_data(config)
@@ -1120,16 +1125,17 @@ def test_nothing_forks_where_it_cannot_help_or_is_unsafe(small_corpus, tmp_path,
 
 def _optimizer_helpers(monkeypatch):
     """Give a tiny config's groups several chunks each, so a fold on two cores
-    forks the optimizer helper; returns each fold's helper (None where none forked)."""
+    forks the optimizer helper; returns each fold's (helper, the groups it
+    steps), with (None, no groups) where none forked."""
     monkeypatch.setattr(AdamW, "CHUNK", 64)
-    monkeypatch.setattr(trainer, "_cores", lambda: 2)
-    helpers, make = [], trainer._optimizer_helper
+    monkeypatch.setattr(native, "_cores", lambda: 2)
+    helpers, fork_helper = [], AdamW.fork_helper
 
     def recording(optimizer):
-        helpers.append(make(optimizer))
-        return helpers[-1]
+        fork_helper(optimizer)
+        helpers.append((optimizer._helper, list(optimizer._theirs)))
 
-    monkeypatch.setattr(trainer, "_optimizer_helper", recording)
+    monkeypatch.setattr(AdamW, "fork_helper", recording)
     return helpers
 
 
@@ -1150,8 +1156,9 @@ def test_the_optimizer_helper_trains_as_one_process_does(small_corpus, tmp_path,
         _refuse_forks(monkeypatch, [])
     (one_core, two_cores), _ = _in_process_and_forked(config, tmp_path, monkeypatch)
     # upper and head; none where the fork was refused, so this process steps them
-    assert helpers[0] is None
-    assert helpers[1] is None if refused else helpers[1].groups == [1, 2]
+    assert helpers[0] == (None, [])
+    assert helpers[1][1] == ([] if refused else [1, 2])
+    assert (helpers[1][0] is None) == refused
     assert len({m for _, m in two_cores.history}) > 1  # the metric moves
     assert _summary(two_cores) == _summary(one_core)
 
@@ -1175,7 +1182,7 @@ def test_a_helper_killed_mid_fold_ends_train_with_one_error_line(small_corpus, t
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the optimizer helper process ended") and err.count("\n") == 1, err
-    assert helpers[0] is not None
+    assert helpers[0][0] is not None
     assert not (out_dir / "fold0.npz").exists()
 
 
@@ -1192,8 +1199,8 @@ def test_a_raise_in_backward_kills_the_helper_stepping_its_groups(small_corpus, 
 
     def backward_then_raise(loss, *on_done):
         inner_backward(loss, *on_done)  # hands every helper group off
-        assert helpers[0].handed == [2, 1]  # the head, then the upper group
-        pids.append(helpers[0]._child.pid)
+        assert helpers[0][0].handed == [2, 1]  # the head, then the upper group
+        pids.append(helpers[0][0]._child.pid)
         raise NumericsError("injected")
 
     monkeypatch.setattr(AdamW, "step_group", slow_step)
@@ -1213,27 +1220,27 @@ def test_a_fold_that_forked_the_optimizer_helper_frees_its_optimizer(small_corpu
                                                                      monkeypatch):
     """With the cycle collector off, AdamW's shared buffers go as the fold returns."""
     helpers = _optimizer_helpers(monkeypatch)
-    optimizers, make = [], trainer._optimizer_helper
+    optimizers, fork_helper = [], AdamW.fork_helper
 
     def recording(optimizer):
         optimizers.append(weakref.ref(optimizer))
-        return make(optimizer)
+        fork_helper(optimizer)
 
-    monkeypatch.setattr(trainer, "_optimizer_helper", recording)
+    monkeypatch.setattr(AdamW, "fork_helper", recording)
     config = tiny_config(small_corpus, epochs=1, patience_rounds=1000)
     data = load_training_data(config)
     train_idx, val_idx = make_folds(config, data).split(0)
     gc.disable()
     try:
         train_fold(config, data, train_idx, val_idx, 0, tmp_path)
-        assert helpers[0].groups and optimizers[0]() is None
+        assert helpers[0][1] and optimizers[0]() is None
     finally:
         gc.enable()
 
 
 def test_only_the_child_class_forks_waits_or_kills():
     """Every child process has the one lifecycle and the one fork policy of
-    `trainer._Child`: only it calls these `os` functions or reads what decides
+    `native.Child`: only it calls these `os` functions or reads what decides
     whether this process may fork."""
     names = {"fork", "waitpid", "kill"}
     policy = {"_cores()", "threading.active_count()", "hasattr(os, 'fork')", "barred"}
@@ -1253,11 +1260,28 @@ def test_only_the_child_class_forks_waits_or_kills():
     for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
-            if (path.name, getattr(node, "name", None)) == ("trainer.py", "_Child"):
+            if (path.name, getattr(node, "name", None)) == ("native.py", "Child"):
                 inside.update(text for _, text in process_calls(node))
             else:
                 outside += [f"{path.name}:{line}: {text}" for line, text in process_calls(node)]
     assert inside == {f"os.{name}" for name in names} | policy
+    assert not outside
+
+
+def test_only_the_optimizer_module_knows_how_its_groups_are_stepped():
+    """Which process steps which AdamW group, and how large a group must be
+    for its helper to pay, is AdamW's decision: no other module names
+    `step_group`, `CHUNK` or an optimizer's `helper`."""
+    names = {"step_group", "CHUNK"}
+    outside = []
+    for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
+        if path.name == "optim.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Name) and n.id in names
+                    or isinstance(n, ast.Attribute) and n.attr in names | {"helper", "_helper"}):
+                outside.append(f"{path.name}:{n.lineno}: {ast.unparse(n)}")
     assert not outside
 
 
