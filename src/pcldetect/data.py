@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigError, ParseError, StratificationError
 
 RESERVED_TOKENS = ("[PAD]", "[CLS]", "[SEP]", "[UNK]", "<e>", "</e>")
+PAD_ID = RESERVED_TOKENS.index("[PAD]")  # `pad_batch` pads with it, `encode_batch` masks it
 
 CATEGORIES = (
     "Unbalanced power relations",
@@ -89,7 +90,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.tokens)
 
-    pad_id = property(lambda self: 0)
     cls_id = property(lambda self: 1)
     sep_id = property(lambda self: 2)
     unk_id = property(lambda self: 3)
@@ -117,10 +117,10 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int = 250) -> list[int]:
     return [vocab.cls_id] + body + [vocab.sep_id]
 
 
-def pad_batch(sequences, pad_id: int = 0) -> np.ndarray:
-    """Right-pad id sequences to the batch maximum."""
+def pad_batch(sequences) -> np.ndarray:
+    """Right-pad id sequences with PAD_ID to the batch maximum."""
     width = max(len(s) for s in sequences)
-    out = np.full((len(sequences), width), pad_id, dtype=np.intp)
+    out = np.full((len(sequences), width), PAD_ID, dtype=np.intp)
     for i, seq in enumerate(sequences):
         out[i, : len(seq)] = seq
     return out

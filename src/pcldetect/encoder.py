@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .data import PAD_ID
 from .errors import ConfigError, ContractError
 from .files import atomic_open
 
@@ -35,7 +36,6 @@ class EncoderConfig:
     d_ff: int = 256
     max_len: int = 250
     dropout_rate: float = 0.4
-    pad_id: int = 0
 
     def __post_init__(self):
         if self.vocab_size < 1:
@@ -147,7 +147,7 @@ def encode_batch(
         raise ContractError("empty sequence")
 
     dtype = params["embeddings.token"].values.dtype  # float32 scores stay float32
-    key_bias = np.where(ids == cfg.pad_id, MASK_BIAS, 0.0).astype(dtype, copy=False)  # (b, s)
+    key_bias = np.where(ids == PAD_ID, MASK_BIAS, 0.0).astype(dtype, copy=False)  # (b, s)
     rate = cfg.dropout_rate
     full = (b, s, cfg.d_model)
 
@@ -191,7 +191,7 @@ def pooler(h: Tensor, params: EncoderParams) -> Tensor:
 # checkpoint format
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def save_checkpoint(
@@ -203,12 +203,14 @@ def save_checkpoint(
     """Write a bit-exact .npz dump of config, parameters and metadata.
 
     `arrays` maps name -> array for every trainable parameter (encoder plus
-    heads). A checkpoint is a best-validation snapshot, not a resume point,
-    so no optimizer state is stored. The file holds two members: `header`,
-    the sorted JSON header as UTF-8 bytes, and `params`, every parameter
-    flattened into one float64 array in `arrays` order, which the header's
-    `params` index lists as [name, shape]. Uncompressed npz keeps the file
-    bytes a pure function of the content, so equal runs hash identically.
+    heads). A checkpoint is a best-validation snapshot that only `predict`
+    reads, not a resume point, so it stores no optimizer state and no
+    training record. The file holds two members: `header`, the sorted JSON
+    of `version`, `encoder_config`, `meta` (a fold's is `{subtask, vocab}`)
+    and the `params` index, as UTF-8 bytes; and `params`, every parameter
+    flattened into one float64 array in `arrays` order, which the index
+    lists as [name, shape]. Uncompressed npz keeps the file bytes a pure
+    function of the content, so equal runs hash identically.
     """
     header = {
         "version": CHECKPOINT_VERSION,
@@ -225,8 +227,9 @@ def save_checkpoint(
 def load_checkpoint(path):
     """Read a checkpoint; returns (config, name -> array, meta).
 
-    Each array is a view of the file's one `params` array. The header's
-    index is checked against that array before any view is taken.
+    A file of another version is refused before its config is read. Each
+    array is a view of the file's one `params` array. The header's index is
+    checked against that array before any view is taken.
     """
     # opened here, because np.load leaves a file it opened itself open on a bad zip, and
     # outside the `try`, so that a missing or unreadable file keeps its own error

@@ -392,7 +392,7 @@ def build_groups(config: RunConfig, names):
 # ---------------------------------------------------------------------------
 
 
-def _predict_token_ids(model: Model, token_ids, pad_id: int, helper: bool = True) -> np.ndarray:
+def _predict_token_ids(model: Model, token_ids, helper: bool = True) -> np.ndarray:
     """Hard predictions (eval mode) for id sequences, in input order, from
     `model` as given (`Model.inference` makes the float32 copy to pass).
 
@@ -412,9 +412,7 @@ def _predict_token_ids(model: Model, token_ids, pad_id: int, helper: bool = True
         """Write the batches at `share` into `shared` as int8 labels; returns all it holds."""
         out = np.frombuffer(shared, np.int8).reshape(shape)
         for start in share:
-            ids = pad_batch(
-                [token_ids[i] for i in order[start : start + EVAL_BATCH]], pad_id=pad_id
-            )
+            ids = pad_batch([token_ids[i] for i in order[start : start + EVAL_BATCH]])
             out[start : start + EVAL_BATCH] = model.predict(model.forward(ids))
         return out
 
@@ -435,8 +433,7 @@ def _predict_token_ids(model: Model, token_ids, pad_id: int, helper: bool = True
 
 def predict_indices(model: Model, data: TrainingData, indices, helper: bool = True) -> np.ndarray:
     """Hard predictions for a set of example indices (eval mode)."""
-    return _predict_token_ids(model, [data.token_ids[i] for i in indices], data.vocab.pad_id,
-                              helper)
+    return _predict_token_ids(model, [data.token_ids[i] for i in indices], helper)
 
 
 def eval_metric(model: Model, data: TrainingData, indices, helper: bool = True) -> float:
@@ -589,7 +586,6 @@ def train_fold(
     n = train_idx.size
     batches_per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * batches_per_epoch
-    pad = data.vocab.pad_id
 
     step = 0
     losses: list = []
@@ -599,7 +595,7 @@ def train_fold(
         for epoch, order in enumerate(_epoch_orders(config, data, train_idx, order_seeds)):
             for b in range(batches_per_epoch):
                 idx = order[b * config.batch_size : (b + 1) * config.batch_size]
-                ids = pad_batch([data.token_ids[i] for i in idx], pad_id=pad)
+                ids = pad_batch([data.token_ids[i] for i in idx])
                 golds = data.golds[idx]
                 step += 1
                 multiplier = cosine_warmup_multiplier(step, total_steps, config.warmup_frac)
@@ -638,8 +634,8 @@ def train_fold(
         optimizer.close()
 
     ckpt_path = run_dir / f"fold{fold}.npz"
-    _write_checkpoint(ckpt_path, config, data, optimizer.groups, evaluation.snapshot,
-                      evaluation.best_step, fold, total_steps)
+    save_checkpoint(ckpt_path, model.config, evaluation.snapshot,
+                    {"subtask": config.subtask, "vocab": data.vocab.tokens})
     return FoldOutcome(
         fold=fold,
         best_metric=evaluation.best,
@@ -652,28 +648,6 @@ def train_fold(
         checkpoint_path=str(ckpt_path),
         wall_clock=time.monotonic() - started,
     )
-
-
-# file paths stay out of checkpoints, so equal runs write equal bytes in any
-# directory; metadata.json keeps them
-_PATH_KEYS = ("data_path", "negatives_path", "out_dir")
-
-
-def _write_checkpoint(path, config, data, groups, arrays, best_step, fold, total_steps):
-    run_config = {k: v for k, v in config.to_dict().items() if k not in _PATH_KEYS}
-    meta = {
-        "run_config": run_config,
-        "subtask": config.subtask,
-        "fold": fold,
-        "vocab": data.vocab.tokens,
-        "schedule": {"snapshot_step": best_step, "total_steps": total_steps},
-        "optimizer_groups": [
-            {"role": g.role, "base_lr": g.base_lr, "weight_decay": g.weight_decay,
-             "names": list(g.names)}
-            for g in groups
-        ],
-    }
-    save_checkpoint(path, config.encoder_config(len(data.vocab)), arrays, meta)
 
 
 def file_sha256(path) -> str:
@@ -725,9 +699,10 @@ def run_kfold(config: RunConfig, run_dir):
 
 
 def _write_metadata(run_dir: Path, config: RunConfig, outcomes):
+    """The run's record, which checkpoints do not carry: the resolved config (its
+    `build_groups` are the optimizer's), and each fold's steps, history and file hash."""
     meta = {
         "config": config.to_dict(),
-        "seed": config.seed,
         "folds": [
             {
                 "fold": o.fold,
@@ -781,14 +756,13 @@ def lambda_sweep(config: RunConfig, grid, run_dir):
 
 
 def load_model(ckpt_path):
-    """Rebuild (model, vocab, meta) from a checkpoint file; the model is
+    """Rebuild (model, vocab) from a checkpoint file; the model is
     `Model.inference` of the checkpoint's parameters.
 
     Before anything is built, refuses a file whose metadata lacks the subtask
     or the vocabulary or holds either mistyped, whose vocabulary does not have
-    one token per embedding row, whose `pad_id` is not the vocabulary's
-    [PAD] id (batches are padded with it), or whose parameter names and
-    shapes differ from the `model_shapes` of its encoder config and subtask.
+    one token per embedding row, or whose parameter names and shapes differ
+    from the `model_shapes` of its encoder config and subtask.
     """
     enc_config, arrays, meta = load_checkpoint(ckpt_path)
     for key in ("subtask", "vocab"):
@@ -803,9 +777,6 @@ def load_model(ckpt_path):
         raise ConfigError(f"{ckpt_path}: checkpoint vocab holds {len(tokens)} tokens, but its "
                           f"config has vocab_size {enc_config.vocab_size}")
     vocab = Vocabulary(tokens)
-    if enc_config.pad_id != vocab.pad_id:
-        raise ConfigError(f"{ckpt_path}: checkpoint pad_id {enc_config.pad_id!r} is not the "
-                          f"vocabulary's [PAD] id {vocab.pad_id}")
     expected = model_shapes(enc_config, subtask)
     missing = [name for name in expected if name not in arrays]
     if missing:
@@ -824,16 +795,16 @@ def load_model(ckpt_path):
             raise ConfigError(
                 f"{ckpt_path}: {name} has shape {found}, but its config and subtask imply {shape}"
             )
-    return Model.from_arrays(enc_config, subtask, arrays).inference(), vocab, meta
+    return Model.from_arrays(enc_config, subtask, arrays).inference(), vocab
 
 
 @native.compute()
 def predict_records(ckpt_path, records):
     """Predict labels for paragraph records; returns (par_ids, labels)."""
-    model, vocab, meta = load_model(ckpt_path)
+    model, vocab = load_model(ckpt_path)
     max_len = model.config.max_len
     token_ids = [tokenize(compose_input(r), vocab, max_len) for r in records]
-    labels = _predict_token_ids(model, token_ids, vocab.pad_id).tolist()
+    labels = _predict_token_ids(model, token_ids).tolist()
     if model.subtask == 2:
         labels = [tuple(row) for row in labels]
     return [r.par_id for r in records], labels

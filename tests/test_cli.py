@@ -197,7 +197,7 @@ def test_config_file_with_flag_override(corpus, tmp_path):
     code = main(["train", "--config", str(cfg), "--out-dir", str(out_dir), "--seed", "7"])
     assert code == 0
     meta = json.loads((out_dir / "metadata.json").read_text())
-    assert meta["seed"] == 7  # flag overrides the file
+    assert meta["config"]["seed"] == 7  # flag overrides the file
     assert meta["config"]["d_model"] == 16
 
 
@@ -458,6 +458,24 @@ def test_config_commands_have_one_flag_per_run_config_field():
                 assert action.option_strings == flags
 
 
+# laid out as version 4 wrote it: `pad_id` in the encoder config, the training record in `meta`
+_VERSION_4 = {
+    "version": 4,
+    "encoder_config": {"vocab_size": 8, "d_model": 16, "n_heads": 2, "n_layers": 2, "d_ff": 32,
+                       "max_len": 40, "dropout_rate": 0.1, "pad_id": 0},
+    "meta": {
+        "run_config": {"subtask": 1, "d_model": 16, "n_heads": 2, "n_layers": 2, "d_ff": 32,
+                       "max_len": 40, "dropout": 0.1, "seed": 13, "resolved_lambda": 1.6},
+        "subtask": 1,
+        "fold": 0,
+        "vocab": ["[PAD]", "[CLS]", "[SEP]", "[UNK]", "<e>", "</e>", "a", "b"],
+        "schedule": {"snapshot_step": 8, "total_steps": 16},
+        "optimizer_groups": [{"role": "embeddings+lower", "base_lr": 1e-3, "weight_decay": 0.01,
+                              "names": ["a"]}],
+    },
+}
+
+
 @pytest.mark.parametrize("argv, message", [
     ("predict --checkpoint {missing} --data {corpus} --out {dir}", "--out {dir} is a directory"),
     ("predict --checkpoint {corpus} --data {corpus} --out {out}",
@@ -468,6 +486,8 @@ def test_config_commands_have_one_flag_per_run_config_field():
      f"{{version2}}: checkpoint version 2; this pcldetect reads version {CHECKPOINT_VERSION}"),
     ("predict --checkpoint {version3} --data {corpus} --out {out}",
      f"{{version3}}: checkpoint version 3; this pcldetect reads version {CHECKPOINT_VERSION}"),
+    ("predict --checkpoint {version4} --data {corpus} --out {out}",
+     f"{{version4}}: checkpoint version 4; this pcldetect reads version {CHECKPOINT_VERSION}"),
     ("predict --checkpoint {name_twice} --data {corpus} --out {out}",
      "{name_twice}: checkpoint parameter index names a twice"),
     ("predict --checkpoint {negative_dim} --data {corpus} --out {out}",
@@ -504,6 +524,7 @@ def test_config_commands_have_one_flag_per_run_config_field():
      "{conflicting}: line 30: duplicate par_id 'q00000' with another text, first on line 1"),
 ], ids=["predict-out-dir", "predict-checkpoint-tsv", "predict-checkpoint-npy",
         "predict-checkpoint-version-2", "predict-checkpoint-version-3",
+        "predict-checkpoint-version-4",
         "predict-checkpoint-name-twice",
         "predict-checkpoint-negative-dim", "predict-checkpoint-fractional-dim",
         "predict-checkpoint-sizes", "predict-checkpoint-unknown-field",
@@ -525,6 +546,7 @@ def test_an_unreadable_or_unwritable_path_ends_as_one_error_line(corpus, tmp_pat
         np.savez(fh, header=np.array(json.dumps({"version": 2})), **{"param/a": np.zeros(2)})
     for name, fields, size in [
         ("version3", {"version": 3}, 2),  # laid out as version 3 wrote it, before the tanh GELU
+        ("version4", _VERSION_4, 2),
         ("name_twice", {"params": [["a", [2]], ["a", [2]]]}, 4),
         ("negative_dim", {"params": [["a", [2]], ["b", [-2, 3]]]}, 2),
         ("fractional_dim", {"params": [["a", [1.5]]]}, 1),

@@ -3,6 +3,8 @@ import pytest
 
 from pcldetect.data import (
     CATEGORIES,
+    PAD_ID,
+    RESERVED_TOKENS,
     ParagraphRecord,
     Vocabulary,
     binarize_label,
@@ -132,8 +134,9 @@ def test_vocab_rejects_missing_reserved_prefix():
 
 
 def test_pad_batch():
-    out = pad_batch([[1, 2, 3], [1, 2]], pad_id=0)
-    assert np.array_equal(out, [[1, 2, 3], [1, 2, 0]])
+    out = pad_batch([[1, 2, 3], [1, 2]])
+    assert np.array_equal(out, [[1, 2, 3], [1, 2, PAD_ID]])
+    assert RESERVED_TOKENS[PAD_ID] == "[PAD]"
 
 
 # --- stratified folds -------------------------------------------------------

@@ -20,7 +20,7 @@ from pcldetect import autograd as ag
 from pcldetect import native, trainer
 from pcldetect.autograd import Tape, backward
 from pcldetect.cli import main
-from pcldetect.data import Vocabulary, compose_input, pad_batch, tokenize
+from pcldetect.data import PAD_ID, Vocabulary, compose_input, pad_batch, tokenize
 from pcldetect.encoder import (
     EncoderConfig,
     encode_batch,
@@ -152,11 +152,21 @@ def test_step_count_matches_loop_arithmetic(small_corpus, tmp_path):
     # no evaluation fell due, so the fold's only one ran after the last step
     assert outcome.history == [(outcome.steps_taken, outcome.best_metric)]
     assert outcome.best_step == outcome.steps_taken
-    _, _, meta = load_checkpoint(outcome.checkpoint_path)
-    assert meta["schedule"]["snapshot_step"] == outcome.steps_taken
-    # each setting once: the recipe lives in run_config, and no generator state
-    assert sorted(meta) == ["fold", "optimizer_groups", "run_config", "schedule", "subtask",
-                            "vocab"]
+
+
+def test_a_folds_checkpoint_header_holds_only_what_predict_reads(small_corpus, tmp_path):
+    """The training record (config, steps, optimizer groups) lives in
+    metadata.json; a fold's header holds the version, the encoder config,
+    the parameter index and the subtask and vocabulary."""
+    config = tiny_config(small_corpus, epochs=1)
+    data = load_training_data(config)
+    outcome = train_fold(config, data, *make_folds(config, data).split(0), 0, tmp_path)
+    with np.load(outcome.checkpoint_path) as saved:
+        header = json.loads(saved["header"].tobytes())
+    assert sorted(header) == ["encoder_config", "meta", "params", "version"]
+    assert header["meta"] == {"subtask": config.subtask, "vocab": data.vocab.tokens}
+    assert sorted(header["encoder_config"]) == sorted(
+        f.name for f in dataclasses.fields(EncoderConfig))
 
 
 def test_early_stopping_cuts_run_short(small_corpus, tmp_path):
@@ -384,7 +394,7 @@ def test_a_wrong_prediction_reaches_the_encoder(subtask):
     for name in ("pooler.dense.weight", "layer.0.attn.q.weight"):
         assert np.abs(model[name].grad).max() > 0.0, name
     token_grad = np.abs(model["embeddings.token"].grad).max(axis=1)
-    in_batch = np.unique(ids[ids != config.pad_id])
+    in_batch = np.unique(ids[ids != PAD_ID])
     assert np.all(token_grad[in_batch] > 0.0)
     assert np.all(np.delete(token_grad, ids) == 0.0)  # rows no token reads stay still
 
@@ -400,7 +410,7 @@ def _mixed_label_model(small_corpus, subtask):
                         np.random.default_rng(3))
     # move the head's decision threshold between the two middle rows, so
     # both labels occur and no row sits near the boundary
-    ids = pad_batch(data.token_ids, pad_id=data.vocab.pad_id)
+    ids = pad_batch(data.token_ids)
     z = pooler(encode_batch(model, ids), model).values @ model["classifier.weight"].values.T
     if subtask == 1:
         z = z[:, 1:] - z[:, :1]
@@ -426,8 +436,8 @@ def test_an_inference_forward_runs_in_float32_throughout(small_corpus, subtask, 
         return out
 
     monkeypatch.setattr(ag, "_make", recording)
-    ids = pad_batch(data.token_ids[:8], pad_id=data.vocab.pad_id)
-    assert (ids == data.vocab.pad_id).any()  # the padding mask takes part
+    ids = pad_batch(data.token_ids[:8])
+    assert (ids == PAD_ID).any()  # the padding mask takes part
     sink = []
     z = binary_forward(pooler(encode_batch(copy, ids, attn_sink=sink), copy), copy)
     assert z.values.dtype == np.float32
@@ -490,7 +500,7 @@ def test_float32_prediction_gives_a_float64_forwards_labels(small_corpus, tmp_pa
     labels = predict_records(outcome.checkpoint_path, data.records)[1]
     assert np.array_equal(np.array(labels), expected)
     assert len(np.unique(expected, axis=0)) > 1  # the check is not vacuous
-    ids = pad_batch(data.token_ids, pad_id=data.vocab.pad_id)
+    ids = pad_batch(data.token_ids)
     z32, z64 = model.forward(ids).values, reference.forward(ids).values
     assert z32.dtype == np.float32
     assert np.abs(z32 - z64).max() < 1e-4  # 1.2e-7 (subtask 1) and 8.7e-6 (subtask 2)
@@ -522,8 +532,7 @@ def _serial_predictions(model, data, indices):
     order = np.argsort([len(r) for r in rows], kind="stable")
     batches = [
         model.predict(model.forward(pad_batch(
-            [rows[i] for i in order[start : start + trainer.EVAL_BATCH]],
-            pad_id=data.vocab.pad_id,
+            [rows[i] for i in order[start : start + trainer.EVAL_BATCH]]
         )))
         for start in range(0, order.size, trainer.EVAL_BATCH)
     ]
@@ -735,33 +744,31 @@ _WIDTH_MISMATCH = "a {width}-wide classifier does not fit subtask {subtask}"
     (2, 2, None, _WIDTH_MISMATCH),
     (1, 3, None, _WIDTH_MISMATCH),
     (2, 3, None, _WIDTH_MISMATCH),
-    (1, 2, lambda params, meta, encoder: meta.pop("subtask"),
+    (1, 2, lambda params, meta: meta.pop("subtask"),
      "checkpoint metadata has no 'subtask'"),
-    (1, 2, lambda params, meta, encoder: params.pop("pooler.dense.weight"),
+    (1, 2, lambda params, meta: params.pop("pooler.dense.weight"),
      "checkpoint lacks pooler.dense.weight"),
-    (1, 2, lambda params, meta, encoder: params.update({"layer.0.attn.q.weight": np.eye(3)}),
+    (1, 2, lambda params, meta: params.update({"layer.0.attn.q.weight": np.eye(3)}),
      "layer.0.attn.q.weight has shape (3, 3), but its config and subtask imply (16, 16)"),
-    (1, 2, lambda params, meta, encoder: params.update({"pooler.extra": np.zeros(2)}),
+    (1, 2, lambda params, meta: params.update({"pooler.extra": np.zeros(2)}),
      "checkpoint holds pooler.extra, unused by its config"),
-    (1, 2, lambda params, meta, encoder: meta.update(subtask=[1]),
+    (1, 2, lambda params, meta: meta.update(subtask=[1]),
      "checkpoint subtask [1] is not the integer 1 or 2"),
-    (1, 2, lambda params, meta, encoder: meta.update(subtask=True),
+    (1, 2, lambda params, meta: meta.update(subtask=True),
      "checkpoint subtask True is not the integer 1 or 2"),
-    (1, 2, lambda params, meta, encoder: meta.update(subtask=1.0),
+    (1, 2, lambda params, meta: meta.update(subtask=1.0),
      "checkpoint subtask 1.0 is not the integer 1 or 2"),
-    (1, 2, lambda params, meta, encoder: meta.update(vocab=5),
+    (1, 2, lambda params, meta: meta.update(vocab=5),
      "checkpoint vocab is not a list of strings"),
-    (1, 2, lambda params, meta, encoder: meta.update(vocab=None),
+    (1, 2, lambda params, meta: meta.update(vocab=None),
      "checkpoint vocab is not a list of strings"),
-    (1, 2, lambda params, meta, encoder: meta["vocab"].append("unseen"),
+    (1, 2, lambda params, meta: meta["vocab"].append("unseen"),
      "checkpoint vocab holds {longer} tokens, but its config has vocab_size {rows}"),
-    (1, 2, lambda params, meta, encoder: meta["vocab"].pop(),
+    (1, 2, lambda params, meta: meta["vocab"].pop(),
      "checkpoint vocab holds {shorter} tokens, but its config has vocab_size {rows}"),
-    (1, 2, lambda params, meta, encoder: encoder.update(pad_id=3),
-     "checkpoint pad_id 3 is not the vocabulary's [PAD] id 0"),
 ], ids=["1-7", "2-2", "1-3", "2-3", "no-subtask", "no-pooler-weight", "q-weight-3x3",
         "extra-parameter", "subtask-list", "subtask-true", "subtask-float", "vocab-int",
-        "vocab-null", "vocab-longer", "vocab-shorter", "pad-id"])
+        "vocab-null", "vocab-longer", "vocab-shorter"])
 def test_predict_refuses_a_head_whose_width_does_not_fit_the_subtask(
     small_corpus, tmp_path, capsys, subtask, width, doctor, message
 ):
@@ -772,11 +779,10 @@ def test_predict_refuses_a_head_whose_width_does_not_fit_the_subtask(
     head_shapes = {"classifier.weight": (width, config.d_model), "classifier.bias": (width,)}
     params.update(init_arrays(head_shapes, np.random.default_rng(4)))
     meta = {"subtask": subtask, "vocab": list(data.vocab.tokens)}
-    encoder = dataclasses.asdict(model.config)
     if doctor is not None:
-        doctor(params, meta, encoder)
+        doctor(params, meta)
     ckpt, out = tmp_path / "doctored.npz", tmp_path / "out.tsv"
-    save_checkpoint(ckpt, EncoderConfig(**encoder), params, meta)
+    save_checkpoint(ckpt, model.config, params, meta)
     code = main(["predict", "--checkpoint", str(ckpt), "--data", str(small_corpus),
                  "--out", str(out)])
     assert code == 1
@@ -806,7 +812,7 @@ def test_a_non_ascii_vocabulary_round_trips_through_a_checkpoint_and_predict(
     rows = [tokenize(compose_input(r), vocab, model.config.max_len) for r in records]
     assert all(encode_token(vocab, "café") in ids and encode_token(vocab, "naïve") in ids
                for ids in rows)
-    labels = [int(model.predict(model.forward(pad_batch([ids], pad_id=vocab.pad_id)))[0])
+    labels = [int(model.predict(model.forward(pad_batch([ids])))[0])
               for ids in rows]
     assert out.read_text(encoding="utf-8").splitlines() == [
         f"{r.par_id}\t{label}" for r, label in zip(records, labels)
@@ -1283,6 +1289,19 @@ def test_only_the_optimizer_module_knows_how_its_groups_are_stepped():
                     or isinstance(n, ast.Attribute) and n.attr in names | {"helper", "_helper"}):
                 outside.append(f"{path.name}:{n.lineno}: {ast.unparse(n)}")
     assert not outside
+
+
+def test_only_the_encoder_module_reads_or_writes_npz():
+    """The checkpoint format has one home: only `encoder` calls numpy's
+    file savers and loader."""
+    names = {"save", "savez", "savez_compressed", "load"}
+    callers = []
+    for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and ast.unparse(n.func.value) == "np" and n.func.attr in names]
+    assert [name.split(":")[0] for name in callers] == ["encoder.py", "encoder.py"], callers
 
 
 def test_only_the_native_module_imports_ctypes():

@@ -10,6 +10,7 @@ compare the fused encoder against it in value and gradient.
 import numpy as np
 
 from pcldetect import autograd as ag
+from pcldetect.data import PAD_ID
 from pcldetect.encoder import MASK_BIAS
 
 
@@ -41,7 +42,7 @@ def encode_batch(params, token_ids, train=False, rng=None, attn_sink=None):
     cfg = params.config
     ids = np.asarray(token_ids)
     s = ids.shape[1]
-    mask_bias = ag.constant(np.where(ids == cfg.pad_id, MASK_BIAS, 0.0)[:, None, None, :])
+    mask_bias = ag.constant(np.where(ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :])
     emb = ag.add(
         ag.embedding_gather(params["embeddings.token"], ids),
         ag.embedding_gather(params["embeddings.position"], np.arange(s)),
